@@ -166,10 +166,14 @@ def write_solution(trajectory: SolutionTrajectory, out_dir) -> list:
 def read_solution(out_dir) -> SolutionTrajectory:
     """Read a solution written by write_solution (exact round-trip)."""
     out = Path(out_dir)
-    node_rows = list(csv.DictReader(open(out / "nodes.csv")))
-    edge_rows = list(csv.DictReader(open(out / "edges.csv")))
-    transfer_rows = list(csv.DictReader(open(out / "transfers.csv")))
-    obj_rows = list(csv.DictReader(open(out / "objective.csv")))
+    with open(out / "nodes.csv") as fh:
+        node_rows = list(csv.DictReader(fh))
+    with open(out / "edges.csv") as fh:
+        edge_rows = list(csv.DictReader(fh))
+    with open(out / "transfers.csv") as fh:
+        transfer_rows = list(csv.DictReader(fh))
+    with open(out / "objective.csv") as fh:
+        obj_rows = list(csv.DictReader(fh))
 
     times = sorted({float(r["time_h"]) for r in node_rows})
     t_index = {_fmt(t): i for i, t in enumerate(times)}

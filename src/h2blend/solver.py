@@ -12,6 +12,8 @@ without inertia information: the primal-primal block is regularized
 until the computed direction has positive curvature.  Step acceptance
 uses the classic filter line search with a second-order correction and
 a Levenberg-Marquardt feasibility restoration as a fallback.
+Constraints, Jacobian and gradient are evaluated once per accepted
+iterate and shared by the KKT error, the KKT system and the line search.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ class SolverOptions:
     reg_min: float = 1e-8
     alpha_min: float = 1e-12
     iteration_log: Optional[str] = None      # CSV path, one row per iteration
-    verbose: bool = False
 
 
 @dataclass
@@ -174,14 +175,17 @@ class _InteriorPoint:
         self.has_u = np.isfinite(bp.U)
         self.log_rows = []
 
+    def evaluate(self, y):
+        """Constraints, Jacobian and objective gradient at y: (c, J, g)."""
+        bp = self.bp
+        return bp.constraints(y), bp.jacobian(y), bp.gradient(y)
+
     # -- diagnostics --------------------------------------------------------
 
-    def kkt_error(self, y, lam, zl, zu, mu):
+    def kkt_error(self, y, ev, lam, zl, zu, mu):
         bp = self.bp
-        g = bp.gradient(y)
-        J = bp.jacobian(y)
+        c, J, g = ev
         r_d = g + J.T @ lam - zl + zu
-        c = bp.constraints(y)
         dl = np.where(self.has_l, y - bp.L, 1.0)
         du = np.where(self.has_u, bp.U - y, 1.0)
         comp_l = np.where(self.has_l, zl * dl - mu, 0.0)
@@ -205,24 +209,22 @@ class _InteriorPoint:
             val -= mu * np.sum(np.log((self.bp.U - y)[self.has_u]))
         return val
 
-    def _barrier_grad(self, y, mu):
-        g = self.bp.gradient(y)
+    def _barrier_grad(self, y, g, mu):
         g = g - np.where(self.has_l, mu / (y - self.bp.L), 0.0)
         g = g + np.where(self.has_u, mu / (self.bp.U - y), 0.0)
         return g
 
     # -- KKT solve ----------------------------------------------------------
 
-    def _solve_kkt(self, y, lam, zl, zu, mu, delta_w_last):
+    def _solve_kkt(self, y, ev, lam, zl, zu, mu, delta_w_last):
         bp = self.bp
         n, m = bp.n_y, bp.m
-        J = bp.jacobian(y)
+        c, J, g = ev
         W = bp.hessian(y, lam)
         dl = np.where(self.has_l, y - bp.L, np.inf)
         du = np.where(self.has_u, bp.U - y, np.inf)
         sigma = np.where(self.has_l, zl / dl, 0.0) + np.where(self.has_u, zu / du, 0.0)
-        r_d = self._barrier_grad(y, mu) + J.T @ lam
-        c = bp.constraints(y)
+        r_d = self._barrier_grad(y, g, mu) + J.T @ lam
         rhs = -np.concatenate([r_d, c])
 
         delta_w = 0.0
@@ -253,7 +255,7 @@ class _InteriorPoint:
                 ok = curv >= 1e-11 * float(dy @ dy)
                 singular = False
             if ok:
-                return d[:n], d[n:], delta_w, c, lu
+                return d[:n], d[n:], delta_w, lu
             attempts += 1
             if singular or delta_c > 0.0:
                 delta_c = self.opt.reg_min * max(mu, 1e-20) ** 0.25 \
@@ -264,7 +266,7 @@ class _InteriorPoint:
             else:
                 delta_w *= 8.0
             if delta_w > _DELTA_W_MAX or attempts > 40:
-                return None, None, delta_w, c, None
+                return None, None, delta_w, None
 
     # -- restoration --------------------------------------------------------
 
@@ -325,8 +327,9 @@ class _InteriorPoint:
         zl = np.where(self.has_l, mu / np.where(self.has_l, y - bp.L, 1.0), 0.0)
         zu = np.where(self.has_u, mu / np.where(self.has_u, bp.U - y, 1.0), 0.0)
 
+        ev = self.evaluate(y)
         filt: list[tuple[float, float]] = []
-        theta = np.abs(bp.constraints(y)).sum()
+        theta = np.abs(ev[0]).sum()
         theta_max = 1e4 * max(1.0, theta)
         theta_min = 1e-4 * max(1.0, theta)
         delta_w_last = 0.0
@@ -334,21 +337,21 @@ class _InteriorPoint:
         it = 0
 
         for it in range(1, opt.max_iter + 1):
-            err0 = self.kkt_error(y, lam, zl, zu, 0.0)
-            if err0 <= opt.kkt_tol:
+            if self.kkt_error(y, ev, lam, zl, zu, 0.0) <= opt.kkt_tol:
                 status, message = "local-optimum", "KKT conditions satisfied"
                 break
-            while self.kkt_error(y, lam, zl, zu, mu) <= _KAPPA_EPS * mu \
+            while self.kkt_error(y, ev, lam, zl, zu, mu) <= _KAPPA_EPS * mu \
                     and mu > opt.kkt_tol / _KAPPA_EPS:
                 mu = max(opt.kkt_tol / _KAPPA_EPS,
                          min(_KAPPA_MU * mu, mu ** _THETA_MU))
                 filt.clear()
 
-            dy, dlam_full, delta_w, c, lu = self._solve_kkt(
-                y, lam, zl, zu, mu, delta_w_last)
+            dy, dlam_full, delta_w, lu = self._solve_kkt(
+                y, ev, lam, zl, zu, mu, delta_w_last)
             if dy is None:
                 y, ok = self._restore(y, mu)
                 y = _push_inside(y, bp.L, bp.U)
+                ev = self.evaluate(y)
                 if ok:
                     filt.clear()
                     continue
@@ -370,9 +373,9 @@ class _InteriorPoint:
                       _max_step(zu, dzu / tau, np.where(self.has_u, 0.0, -np.inf), 1.0))
 
             phi = self._barrier_value(y, mu)
-            gphi = self._barrier_grad(y, mu)
+            gphi = self._barrier_grad(y, ev[2], mu)
             dphi = float(gphi @ dy)
-            theta = np.abs(c).sum()
+            theta = np.abs(ev[0]).sum()
 
             def filter_ok(th, ph):
                 for th_j, ph_j in filt + [(theta, phi)]:
@@ -437,8 +440,9 @@ class _InteriorPoint:
 
             if not accepted:
                 y_new, ok = self._restore(y, mu)
-                if ok and np.abs(bp.constraints(y_new)).sum() < theta:
+                if ok:
                     y = _push_inside(y_new, bp.L, bp.U)
+                    ev = self.evaluate(y)
                     filt.clear()
                     delta_w_last = 0.0
                     continue
@@ -452,6 +456,7 @@ class _InteriorPoint:
                 break
 
             y = trial
+            ev = self.evaluate(y)
             lam = lam + alpha * dlam
             zl = np.clip(zl + a_z * dzl,
                          np.where(self.has_l,
@@ -467,23 +472,19 @@ class _InteriorPoint:
                          np.where(self.has_u,
                                   _KAPPA_SIGMA * mu
                                   / np.maximum(bp.U - y, 1e-300), 0.0))
-            if self.opt.iteration_log is not None or self.opt.verbose:
-                row = dict(iteration=it, mu=mu, objective=bp.objective(y),
-                           violation=float(np.abs(bp.constraints(y)).max(initial=0.0)),
-                           kkt=self.kkt_error(y, lam, zl, zu, 0.0),
-                           step=alpha, regularization=delta_w)
-                self.log_rows.append(row)
-                if self.opt.verbose:
-                    print("  ".join(f"{k}={v:.3e}" if isinstance(v, float)
-                                    else f"{k}={v}" for k, v in row.items()))
+            if self.opt.iteration_log is not None:
+                self.log_rows.append(dict(
+                    iteration=it, mu=mu, objective=bp.objective(y),
+                    violation=float(np.abs(ev[0]).max(initial=0.0)),
+                    kkt=self.kkt_error(y, ev, lam, zl, zu, 0.0),
+                    step=alpha, regularization=delta_w))
 
         wall = time.perf_counter() - t_start
         x = y[:bp.n_x]
-        viol = self._violation(y)
         result = SolveResult(
             status=status, x=x, objective=bp.objective(y),
-            violation=viol,
-            kkt_residual=self.kkt_error(y, lam, zl, zu, 0.0),
+            violation=self._violation(y, ev[0]),
+            kkt_residual=self.kkt_error(y, ev, lam, zl, zu, 0.0),
             iterations=it, wall_time=wall,
             multipliers=dict(equality=lam[:bp.p.n_eq],
                              inequality=lam[bp.p.n_eq:bp.p.n_eq + bp.p.n_ineq],
@@ -499,11 +500,10 @@ class _InteriorPoint:
                     wr.writerow(row)
         return result
 
-    def _violation(self, y) -> float:
+    def _violation(self, y, c) -> float:
         bp = self.bp
-        c = np.abs(bp.constraints(y)).max(initial=0.0)
         b = np.maximum(bp.L - y, 0.0) + np.maximum(y - bp.U, 0.0)
-        return float(max(c, b.max(initial=0.0)))
+        return float(max(np.abs(c).max(initial=0.0), b.max(initial=0.0)))
 
 
 def solve_nlp(problem: NlpProblem, x0: np.ndarray,
@@ -511,29 +511,6 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray,
     """Solve an assembled problem from the given primal starting point."""
     options = options or SolverOptions()
     return _InteriorPoint(_BarrierProblem(problem), options).solve(x0)
-
-
-def kkt_residuals(problem: NlpProblem, result: SolveResult) -> dict:
-    """Stationarity, feasibility and complementarity norms at a solution."""
-    bp = _BarrierProblem(problem)
-    ip = _InteriorPoint(bp, SolverOptions())
-    y = np.concatenate([result.x, result.multipliers.get(
-        "slacks", problem.ineq_constraints(result.x))])
-    m = bp.m
-    lam = np.zeros(m)
-    lam[:problem.n_eq] = result.multipliers["equality"]
-    lam[problem.n_eq:problem.n_eq + problem.n_ineq] = result.multipliers["inequality"]
-    zl = np.concatenate([result.multipliers["bound_lower"], np.zeros(bp.n_s)]) \
-        if len(result.multipliers["bound_lower"]) == bp.n_x else np.zeros(bp.n_y)
-    zu = np.concatenate([result.multipliers["bound_upper"], np.zeros(bp.n_s)]) \
-        if len(result.multipliers["bound_upper"]) == bp.n_x else np.zeros(bp.n_y)
-    g = bp.gradient(y)
-    J = bp.jacobian(y)
-    return {
-        "stationarity": float(np.abs(g + J.T @ lam - zl + zu).max(initial=0.0)),
-        "feasibility": float(np.abs(bp.constraints(y)).max(initial=0.0)),
-        "kkt_error": float(ip.kkt_error(y, lam, zl, zu, 0.0)),
-    }
 
 
 # ---------------------------------------------------------------------------

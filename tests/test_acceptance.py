@@ -220,8 +220,10 @@ class TestCriterion10Reproducibility:
     def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "run1", tmp_path / "run2"
         for out in (out1, out2):
-            code = main(["--case", "single-pipe", "--out", str(out)])
+            code = main(["--case", "single-pipe", "--out", str(out),
+                         "--iter-log"])
             assert code == 0
         for name in ("nodes.csv", "edges.csv", "transfers.csv",
-                     "objective.csv"):
+                     "objective.csv", "iterations_steady.csv",
+                     "iterations_transient.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()

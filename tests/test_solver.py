@@ -10,13 +10,35 @@ from h2blend.physics import GasConstants
 from h2blend.solution import SolutionTrajectory
 from h2blend.solver import (
     SolverOptions,
-    kkt_residuals,
+    _BarrierProblem,
+    _InteriorPoint,
     replicate_steady,
     solve_nlp,
     solve_steady,
     solve_transient,
 )
-from h2blend.transcription import TimeGrid, assemble_nlp
+from h2blend.transcription import NlpProblem, TimeGrid, assemble_nlp
+
+
+def kkt_residuals(problem, result) -> dict:
+    """Stationarity, feasibility and scaled KKT error at a solution, from
+    the solver's own evaluation and KKT-error routine."""
+    bp = _BarrierProblem(problem)
+    ip = _InteriorPoint(bp, SolverOptions())
+    mult = result.multipliers
+    y = np.concatenate([result.x, mult["slacks"]])
+    lam = np.zeros(bp.m)
+    lam[:problem.n_eq] = mult["equality"]
+    lam[problem.n_eq:problem.n_eq + problem.n_ineq] = mult["inequality"]
+    zl = np.concatenate([mult["bound_lower"], np.zeros(bp.n_s)])
+    zu = np.concatenate([mult["bound_upper"], np.zeros(bp.n_s)])
+    ev = ip.evaluate(y)
+    c, J, g = ev
+    return {
+        "stationarity": float(np.abs(g + J.T @ lam - zl + zu).max(initial=0.0)),
+        "feasibility": float(np.abs(c).max(initial=0.0)),
+        "kkt_error": float(ip.kkt_error(y, ev, lam, zl, zu, 0.0)),
+    }
 
 
 class QuadraticProblem:
@@ -132,6 +154,50 @@ class TestSteadyState:
         res = kkt_residuals(problem, result)
         assert res["feasibility"] <= 1e-7
         assert res["kkt_error"] <= 1e-5
+
+
+class TestOneEvaluationPerIterate:
+    """The Jacobian is built once before the loop and once per accepted
+    step, never again at the same iterate."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"eq_jacobian": 0, "restore": 0}
+        eq_jacobian = NlpProblem.eq_jacobian
+        restore = _InteriorPoint._restore
+
+        def counted_eq_jacobian(self, x):
+            calls["eq_jacobian"] += 1
+            return eq_jacobian(self, x)
+
+        def counted_restore(self, y, mu):
+            calls["restore"] += 1
+            return restore(self, y, mu)
+
+        monkeypatch.setattr(NlpProblem, "eq_jacobian", counted_eq_jacobian)
+        monkeypatch.setattr(_InteriorPoint, "_restore", counted_restore)
+        return calls
+
+    def test_converged_solves(self, calls):
+        segnet, scenario = steady_line_case()
+        steady = solve_steady(segnet, scenario)
+        assert steady[0].success
+        assert calls == {"eq_jacobian": steady[0].iterations, "restore": 0}
+        calls["eq_jacobian"] = 0
+        result, _, _ = solve_transient(segnet, scenario, steady=steady)
+        assert result.success
+        assert calls == {"eq_jacobian": result.iterations, "restore": 0}
+
+    def test_iteration_limit_evaluates_the_last_iterate(self, calls):
+        segnet, scenario = steady_line_case()
+        options = SolverOptions(max_iter=3)
+        steady = solve_steady(segnet, scenario, options)
+        assert steady[0].status == "iteration-limit"
+        assert calls == {"eq_jacobian": steady[0].iterations + 1, "restore": 0}
+        calls["eq_jacobian"] = 0
+        result, _, _ = solve_transient(segnet, scenario, options, steady=steady)
+        assert result.status == "iteration-limit"
+        assert calls == {"eq_jacobian": result.iterations + 1, "restore": 0}
 
 
 class TestTransient:
