@@ -110,6 +110,17 @@ def _periodicity_cycles(scenario) -> int:
     return min(cycles) if len(cycles) == 1 else 0
 
 
+def _audit(trajectory, segnet, scenario, tol: float, out_dir: Path):
+    """Run the post-solve audits, write audit.json and audit.txt, print."""
+    report = run_audits(trajectory, segnet, scenario,
+                        feasibility_tol=10.0 * tol,
+                        periodicity_cycles=_periodicity_cycles(scenario))
+    (out_dir / "audit.json").write_text(report.to_json())
+    (out_dir / "audit.txt").write_text(report.to_text() + "\n")
+    print(report.to_text())
+    return report
+
+
 def run(args) -> int:
     out_dir = Path(args.out or os.environ.get("H2BLEND_OUT", "h2blend_out"))
     try:
@@ -137,12 +148,7 @@ def run(args) -> int:
             print(f"error: cannot read solution from {out_dir}: {exc}",
                   file=sys.stderr)
             return EXIT_PARSE
-        report = run_audits(trajectory, segnet, scenario,
-                            feasibility_tol=10.0 * args.tol,
-                            periodicity_cycles=_periodicity_cycles(scenario))
-        print(report.to_text())
-        (out_dir / "audit.json").write_text(report.to_json())
-        (out_dir / "audit.txt").write_text(report.to_text() + "\n")
+        report = _audit(trajectory, segnet, scenario, args.tol, out_dir)
         return EXIT_OK if report.passed else EXIT_AUDIT
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -181,12 +187,7 @@ def run(args) -> int:
 
     trajectory = SolutionTrajectory.from_solution(problem, result.x)
     write_solution(trajectory, out_dir)
-    report = run_audits(trajectory, segnet, scenario,
-                        feasibility_tol=10.0 * args.tol,
-                        periodicity_cycles=_periodicity_cycles(scenario))
-    (out_dir / "audit.json").write_text(report.to_json())
-    (out_dir / "audit.txt").write_text(report.to_text() + "\n")
-    print(report.to_text())
+    report = _audit(trajectory, segnet, scenario, args.tol, out_dir)
     econ = trajectory.economics
     print(f"objective {econ['objective']:.6f} | economic "
           f"{econ['economic_cost_usd']:.2f} $ | compression "

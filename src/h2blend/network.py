@@ -84,10 +84,6 @@ class Network:
         return tuple(n.id for n in self.nodes if n.role == "slack")
 
     @property
-    def injection_ids(self) -> tuple[str, ...]:
-        return tuple(n.id for n in self.nodes if n.role == "injection")
-
-    @property
     def withdrawal_ids(self) -> tuple[str, ...]:
         return tuple(n.id for n in self.nodes if n.role == "withdrawal")
 
@@ -96,31 +92,20 @@ class Network:
         """Nodes that can inject gas: slack plus injection nodes."""
         return tuple(n.id for n in self.nodes if n.role in ("slack", "injection"))
 
-    def to_document(self) -> dict:
-        doc = {"nodes": [], "pipes": [], "compressors": []}
-        for n in self.nodes:
-            entry = {"id": n.id, "role": n.role, "p_min": n.p_min, "p_max": n.p_max}
-            for key in ("p_slack", "eta_s", "gE_max", "gE_fixed"):
-                value = getattr(n, key)
-                if value is not None:
-                    entry[key] = value
-            doc["nodes"].append(entry)
-        for p in self.pipes:
-            doc["pipes"].append(
-                {"id": p.id, "from": p.from_node, "to": p.to_node,
-                 "L": p.L, "D": p.D, "lambda": p.lam, "A": p.A}
-            )
-        for c in self.compressors:
-            doc["compressors"].append(
-                {"id": c.id, "from": c.from_node, "to": c.to_node,
-                 "alpha_max": c.alpha_max, "fc_max": c.fc_max}
-            )
-        return doc
-
 
 def _require(cond: bool, where: str, msg: str):
     if not cond:
         raise ParseError(f"{where}: {msg}")
+
+
+def _number(value, where: str, key: str) -> float:
+    """``value`` as a float; ParseError naming ``where`` and ``key`` if it is
+    missing or not a number."""
+    _require(value is not None, where, f"{key} is missing")
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ParseError(f"{where}: {key} must be a number, got {value!r}") from None
 
 
 def parse_network(document: dict) -> Network:
@@ -141,20 +126,19 @@ def parse_network(document: dict) -> Network:
         seen.add(nid)
         role = entry.get("role", "junction")
         _require(role in ROLES, where, f"unknown role {role!r}")
-        p_min = float(entry.get("p_min", 3.0e6))
-        p_max = float(entry.get("p_max", 6.0e6))
+        p_min = _number(entry.get("p_min", 3.0e6), where, "p_min")
+        p_max = _number(entry.get("p_max", 6.0e6), where, "p_max")
         _require(0.0 < p_min < p_max, where, f"need 0 < p_min < p_max, got [{p_min}, {p_max}]")
         p_slack = entry.get("p_slack")
         if role == "slack":
-            _require(p_slack is not None, where, "slack node needs p_slack")
-            p_slack = float(p_slack)
+            p_slack = _number(p_slack, where, "p_slack")
             _require(p_min <= p_slack <= p_max, where, "p_slack outside pressure bounds")
         else:
             _require(p_slack is None, where, "p_slack only valid on slack nodes")
         eta_s = entry.get("eta_s")
         if eta_s is not None:
             _require(role in ("slack", "injection"), where, "eta_s only valid on supply nodes")
-            eta_s = float(eta_s)
+            eta_s = _number(eta_s, where, "eta_s")
             _require(0.0 <= eta_s <= 1.0, where, "eta_s must be in [0, 1]")
         gE_max = entry.get("gE_max")
         gE_fixed = entry.get("gE_fixed")
@@ -163,10 +147,10 @@ def parse_network(document: dict) -> Network:
             _require(gE_max is None or gE_fixed is None, where,
                      "gE_max and gE_fixed are mutually exclusive")
         if gE_max is not None:
-            gE_max = float(gE_max)
+            gE_max = _number(gE_max, where, "gE_max")
             _require(gE_max >= 0.0, where, "gE_max must be non-negative")
         if gE_fixed is not None:
-            gE_fixed = float(gE_fixed)
+            gE_fixed = _number(gE_fixed, where, "gE_fixed")
             _require(gE_fixed >= 0.0, where, "gE_fixed must be non-negative")
         if role == "withdrawal":
             _require(gE_max is not None or gE_fixed is not None, where,
@@ -187,10 +171,10 @@ def parse_network(document: dict) -> Network:
         frm, to = entry.get("from"), entry.get("to")
         check_endpoint(where, frm)
         check_endpoint(where, to)
-        L = float(entry["L"])
-        D = float(entry["D"])
-        lam = float(entry.get("lambda", 0.01))
-        A = float(entry.get("A", Pipe.area(D)))
+        L = _number(entry.get("L"), where, "L")
+        D = _number(entry.get("D"), where, "D")
+        lam = _number(entry.get("lambda", 0.01), where, "lambda")
+        A = _number(entry.get("A", Pipe.area(D)), where, "A")
         _require(L > 0 and D > 0 and A > 0, where, "L, D, A must be positive")
         _require(lam > 0, where, "friction factor must be positive")
         pipes.append(Pipe(id=pid, from_node=frm, to_node=to, L=L, D=D, lam=lam, A=A))
@@ -205,8 +189,8 @@ def parse_network(document: dict) -> Network:
         frm, to = entry.get("from"), entry.get("to")
         check_endpoint(where, frm)
         check_endpoint(where, to)
-        alpha_max = float(entry.get("alpha_max", 2.0))
-        fc_max = float(entry["fc_max"])
+        alpha_max = _number(entry.get("alpha_max", 2.0), where, "alpha_max")
+        fc_max = _number(entry.get("fc_max"), where, "fc_max")
         _require(alpha_max >= 1.0, where, "alpha_max must be >= 1")
         _require(fc_max > 0.0, where, "fc_max must be positive")
         compressors.append(Compressor(id=cid, from_node=frm, to_node=to,
@@ -295,17 +279,14 @@ class SegmentedNetwork:
     compressors: tuple[Compressor, ...]
     dL: float
 
-    @property
-    def node_ids(self) -> tuple[str, ...]:
-        return tuple(n.id for n in self.nodes)
-
 
 def segment_pipes(net: Network, dL: float) -> SegmentedNetwork:
     """Split every pipe into ceil(L/dL) equal-length segments.
 
     Auxiliary node ids are deterministic: ``<pipe id>.<segment index>``.
     Auxiliary nodes are junctions carrying the parent pipe's endpoint
-    pressure bounds.
+    pressure bounds; a pipe whose endpoint pressure ranges do not overlap
+    cannot be split.
     """
     if dL <= 0.0:
         raise ValueError(f"segmentation length must be positive, got {dL}")
@@ -318,6 +299,10 @@ def segment_pipes(net: Network, dL: float) -> SegmentedNetwork:
         to_node = net.node(pipe.to_node)
         p_min = max(frm_node.p_min, to_node.p_min)
         p_max = min(frm_node.p_max, to_node.p_max)
+        if count > 1 and p_min >= p_max:
+            raise ValueError(
+                f"pipe {pipe.id!r}: endpoint pressure ranges do not overlap "
+                f"(auxiliary junctions would need [{p_min}, {p_max}] Pa)")
         prev = pipe.from_node
         for k in range(count):
             last = k == count - 1
@@ -431,22 +416,26 @@ def _parse_profile(node_id: str, entry: dict) -> Profile:
     where = f"profiles[{node_id!r}]"
     kind = entry.get("type")
     if kind == "sinusoid":
-        eta0 = float(entry["eta0"])
-        delta = float(entry.get("delta", 0.0))
-        nu = float(entry.get("nu", 1.0))
+        eta0 = _number(entry.get("eta0"), where, "eta0")
+        delta = _number(entry.get("delta", 0.0), where, "delta")
+        nu = _number(entry.get("nu", 1.0), where, "nu")
         _require(0.0 <= eta0 - abs(delta) and eta0 + abs(delta) <= 1.0, where,
                  "eta0 +/- delta must stay within [0, 1]")
         return Profile(kind="sinusoid", eta0=eta0, delta=delta, nu=nu)
     if kind == "series":
-        times = tuple(float(v) for v in entry["times"])
-        values = tuple(float(v) for v in entry["values"])
-        _require(len(times) == len(values) and len(times) > 0, where,
-                 "times and values must be equal-length, non-empty")
+        times, values = entry.get("times"), entry.get("values")
+        _require(isinstance(times, list) and isinstance(values, list)
+                 and len(times) == len(values) > 0, where,
+                 "times and values must be equal-length, non-empty lists")
+        times = tuple(_number(v, where, "times") for v in times)
+        values = tuple(_number(v, where, "values") for v in values)
+        _require(all(a < b for a, b in zip(times, times[1:])), where,
+                 "series times must strictly increase")
         _require(all(0.0 <= v <= 1.0 for v in values), where,
                  "series values must be in [0, 1]")
         return Profile(kind="series", times=times, values=values)
     if kind == "constant":
-        eta0 = float(entry["eta0"])
+        eta0 = _number(entry.get("eta0"), where, "eta0")
         _require(0.0 <= eta0 <= 1.0, where, "eta0 must be in [0, 1]")
         return Profile(kind="constant", eta0=eta0)
     raise ParseError(f"{where}: unknown profile type {kind!r}")
@@ -461,33 +450,37 @@ def parse_scenario(document: dict) -> Scenario:
     prices = document.get("prices", {})
     cost = document.get("compressor_cost", {})
     gas_doc = document.get("gas", {})
+    scales_doc = document.get("scales", {})
+
+    def number(doc: dict, key: str, default: float, where: str = "scenario") -> float:
+        return _number(doc.get(key, default), where, key)
+
     defaults = GasConstants()
     gas = GasConstants(
-        a_H2=float(gas_doc.get("a_H2", defaults.a_H2)),
-        a_NG=float(gas_doc.get("a_NG", defaults.a_NG)),
-        R_H2=float(gas_doc.get("R_H2", defaults.R_H2)),
-        R_NG=float(gas_doc.get("R_NG", defaults.R_NG)),
+        a_H2=number(gas_doc, "a_H2", defaults.a_H2, "scenario.gas"),
+        a_NG=number(gas_doc, "a_NG", defaults.a_NG, "scenario.gas"),
+        R_H2=number(gas_doc, "R_H2", defaults.R_H2, "scenario.gas"),
+        R_NG=number(gas_doc, "R_NG", defaults.R_NG, "scenario.gas"),
     )
-    scales_doc = document.get("scales", {})
     return Scenario(
-        T_f=float(document.get("horizon_hours", 24.0)),
-        dt=float(document.get("dt_hours", 0.5)),
-        dL=float(document.get("segment_length_m", 10000.0)),
+        T_f=number(document, "horizon_hours", 24.0),
+        dt=number(document, "dt_hours", 0.5),
+        dL=number(document, "segment_length_m", 10000.0),
         profiles=profiles,
-        c_H2=float(prices.get("c_H2", 1.5)),
-        c_NG=float(prices.get("c_NG", 0.18)),
-        C_E=float(prices.get("C_E", 0.01)),
-        zeta=float(prices.get("zeta", 0.07)),
-        xi=float(document.get("xi", 0.5)),
-        mu=float(cost.get("mu", 1.31)),
-        G=float(cost.get("G", 0.505)),
-        T_suction=float(cost.get("T", 288.7)),
+        c_H2=number(prices, "c_H2", 1.5, "scenario.prices"),
+        c_NG=number(prices, "c_NG", 0.18, "scenario.prices"),
+        C_E=number(prices, "C_E", 0.01, "scenario.prices"),
+        zeta=number(prices, "zeta", 0.07, "scenario.prices"),
+        xi=number(document, "xi", 0.5),
+        mu=number(cost, "mu", 1.31, "scenario.compressor_cost"),
+        G=number(cost, "G", 0.505, "scenario.compressor_cost"),
+        T_suction=number(cost, "T", 288.7, "scenario.compressor_cost"),
         gas=gas,
-        l0=float(scales_doc.get("l0", DEFAULT_L0)),
-        p0=float(scales_doc.get("p0", DEFAULT_P0)),
-        M=float(scales_doc.get("M", DEFAULT_MACH)),
-        qs_max=float(document.get("qs_max", 1000.0)),
-        qw_max=float(document.get("qw_max", 2000.0)),
+        l0=number(scales_doc, "l0", DEFAULT_L0, "scenario.scales"),
+        p0=number(scales_doc, "p0", DEFAULT_P0, "scenario.scales"),
+        M=number(scales_doc, "M", DEFAULT_MACH, "scenario.scales"),
+        qs_max=number(document, "qs_max", 1000.0),
+        qw_max=number(document, "qw_max", 2000.0),
     )
 
 

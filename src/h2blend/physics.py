@@ -81,41 +81,6 @@ class NondimScales:
         return self.phi0 * self.A0
 
 
-def mixture_sound_speed_sq(eta: float, g: GasConstants) -> float:
-    """Squared sound speed of the mixture, m^2/s^2.
-
-    The mixture value interpolates the pure-component squared sound
-    speeds linearly in the hydrogen mass fraction ``eta``.
-    """
-    if not 0.0 <= eta <= 1.0:
-        raise DomainError(f"mass fraction must be in [0, 1], got {eta}")
-    return g.a_H2 ** 2 * eta + g.a_NG ** 2 * (1.0 - eta)
-
-
-def eos_pressure(rho_H2: float, rho_NG: float, g: GasConstants) -> float:
-    """Mixture pressure from the partial densities, Pa.
-
-    Partial pressures are additive for ideal gases, so the pressure is
-    linear in each partial density.
-    """
-    if rho_H2 < 0.0 or rho_NG < 0.0:
-        raise DomainError(
-            f"partial densities must be non-negative, got ({rho_H2}, {rho_NG})"
-        )
-    if rho_H2 + rho_NG <= 0.0:
-        raise DomainError("total density must be positive (mass fraction undefined)")
-    return g.a_H2 ** 2 * rho_H2 + g.a_NG ** 2 * rho_NG
-
-
-def energy_rate(eta: float, qw: float, g: GasConstants) -> float:
-    """Energy content of a withdrawal mass flow, MJ/s."""
-    if not 0.0 <= eta <= 1.0:
-        raise DomainError(f"mass fraction must be in [0, 1], got {eta}")
-    if qw < 0.0:
-        raise DomainError(f"withdrawal flow must be non-negative, got {qw}")
-    return (eta * g.R_H2 + (1.0 - eta) * g.R_NG) * qw
-
-
 def nondim_scales(
     l0: float = DEFAULT_L0,
     p0: float = DEFAULT_P0,
@@ -147,41 +112,3 @@ def pipe_beta(lam: float, L: float, D: float, M: float) -> float:
         raise DomainError(f"L, D, M must be positive, got L={L}, D={D}, M={M}")
     return (1.0 / M ** 2) * lam * L / (2.0 * D)
 
-
-@dataclass(frozen=True)
-class MixtureState:
-    """Partial densities plus the derived mixture quantities at one node.
-
-    ``eta`` is stored redundantly so that consistency with the partial
-    densities can be checked rather than assumed.
-    """
-
-    rho_H2: float
-    rho_NG: float
-    eta: float
-    a2: float
-    p: float
-
-    @classmethod
-    def from_partial_densities(
-        cls, rho_H2: float, rho_NG: float, g: GasConstants
-    ) -> "MixtureState":
-        if rho_H2 < 0.0 or rho_NG < 0.0 or rho_H2 + rho_NG <= 0.0:
-            raise DomainError(
-                f"need rho_H2 >= 0, rho_NG >= 0, sum > 0; got ({rho_H2}, {rho_NG})"
-            )
-        eta = rho_H2 / (rho_H2 + rho_NG)
-        a2 = mixture_sound_speed_sq(eta, g)
-        return cls(rho_H2=rho_H2, rho_NG=rho_NG, eta=eta, a2=a2, p=a2 * (rho_H2 + rho_NG))
-
-    def consistency_error(self, g: GasConstants) -> float:
-        """Max relative drift between stored and recomputed derived fields."""
-        rho = self.rho_H2 + self.rho_NG
-        eta = self.rho_H2 / rho
-        a2 = mixture_sound_speed_sq(eta, g)
-        p = a2 * rho
-        return max(
-            abs(self.eta - eta) / max(1.0, abs(eta)),
-            abs(self.a2 - a2) / abs(a2),
-            abs(self.p - p) / abs(p),
-        )

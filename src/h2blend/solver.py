@@ -30,6 +30,10 @@ from scipy.sparse.linalg import splu
 from .transcription import NlpProblem, TimeGrid, assemble_nlp
 from .network import Scenario, SegmentedNetwork
 
+_MU_INIT = 1e-1
+_TAU_MIN = 0.99
+_REG_MIN = 1e-8
+_ALPHA_MIN = 1e-12
 _SMAX = 100.0
 _KAPPA_EPS = 10.0
 _KAPPA_MU = 0.2
@@ -51,10 +55,6 @@ _BOUND_PUSH = 1e-2
 class SolverOptions:
     kkt_tol: float = 1e-6
     max_iter: int = 3000
-    mu_init: float = 1e-1
-    tau_min: float = 0.99
-    reg_min: float = 1e-8
-    alpha_min: float = 1e-12
     iteration_log: Optional[str] = None      # CSV path, one row per iteration
 
 
@@ -94,36 +94,24 @@ class _BarrierProblem:
         ub[self.fix_idx] = np.inf
         self.L = np.concatenate([lb, problem.ineq_lb])
         self.U = np.concatenate([ub, problem.ineq_ub])
-        self.m = problem.n_eq + problem.n_ineq + len(self.fix_idx)
-        if len(self.fix_idx):
-            self._fix_jac = sp.csr_matrix(
-                (np.ones(len(self.fix_idx)),
-                 (np.arange(len(self.fix_idx)), self.fix_idx)),
-                shape=(len(self.fix_idx), self.n_x))
-        else:
-            self._fix_jac = sp.csr_matrix((0, self.n_x))
+        n_fix = len(self.fix_idx)
+        self.m = problem.n_eq + problem.n_ineq + n_fix
+        self._fix_jac = sp.csr_matrix(
+            (np.ones(n_fix), (np.arange(n_fix), self.fix_idx)), shape=(n_fix, self.n_x))
 
     def split(self, y):
         return y[:self.n_x], y[self.n_x:]
 
     def constraints(self, y):
         x, s = self.split(y)
-        parts = [self.p.eq_constraints(x), self.p.ineq_constraints(x) - s]
-        if len(self.fix_idx):
-            parts.append(x[self.fix_idx] - self.fix_val)
-        return np.concatenate(parts)
+        return np.concatenate([self.p.eq_constraints(x), self.p.ineq_constraints(x) - s,
+                               x[self.fix_idx] - self.fix_val])
 
     def jacobian(self, y) -> sp.csr_matrix:
         x, _ = self.split(y)
-        j_eq = self.p.eq_jacobian(x)
-        j_in = self.p.ineq_jacobian(x)
-        top = sp.hstack([j_eq, sp.csr_matrix((self.p.n_eq, self.n_s))])
-        mid = sp.hstack([j_in, -sp.identity(self.n_s, format="csr")])
-        blocks = [top, mid]
-        if len(self.fix_idx):
-            blocks.append(sp.hstack([self._fix_jac,
-                                     sp.csr_matrix((len(self.fix_idx), self.n_s))]))
-        return sp.vstack(blocks, format="csr")
+        return sp.bmat([[self.p.eq_jacobian(x), None],
+                        [self.p.ineq_jacobian(x), -sp.identity(self.n_s, format="csr")],
+                        [self._fix_jac, None]], format="csr")
 
     def objective(self, y) -> float:
         return self.p.objective(y[:self.n_x])
@@ -134,10 +122,9 @@ class _BarrierProblem:
         return g
 
     def hessian(self, y, lam) -> sp.csr_matrix:
-        x, _ = self.split(y)
-        h_x = self.p.lagrangian_hessian(x, 1.0, lam[:self.p.n_eq])
-        return sp.bmat([[h_x, None],
-                        [None, sp.csr_matrix((self.n_s, self.n_s))]], format="csr")
+        h = self.p.lagrangian_hessian(y[:self.n_x], lam[:self.p.n_eq])
+        h.resize(self.n_y, self.n_y)
+        return h
 
 
 def _push_inside(y, L, U):
@@ -154,6 +141,13 @@ def _push_inside(y, L, U):
     y = np.where(has_l, np.maximum(y, L + pl), y)
     y = np.where(has_u, np.minimum(y, U - pu), y)
     return y
+
+
+def _clip_dual(z, gap, has_bound, mu):
+    """Keep bound multipliers within a factor _KAPPA_SIGMA of mu / gap."""
+    gap = np.maximum(gap, 1e-300)
+    return np.clip(z, np.where(has_bound, mu / (_KAPPA_SIGMA * gap), 0.0),
+                   np.where(has_bound, _KAPPA_SIGMA * mu / gap, 0.0))
 
 
 def _max_step(y, dy, bound, direction):
@@ -230,7 +224,7 @@ class _InteriorPoint:
         delta_w = 0.0
         # a small always-on dual regularization keeps the system solvable
         # when constraint rows lose rank (zero-flow mixing degeneracy)
-        delta_c = self.opt.reg_min * max(mu, 1e-20) ** 0.5
+        delta_c = _REG_MIN * max(mu, 1e-20) ** 0.5
         attempts = 0
         while True:
             H = (W + sp.diags(sigma + delta_w)).tocsc()
@@ -258,11 +252,11 @@ class _InteriorPoint:
                 return d[:n], d[n:], delta_w, lu
             attempts += 1
             if singular or delta_c > 0.0:
-                delta_c = self.opt.reg_min * max(mu, 1e-20) ** 0.25 \
+                delta_c = _REG_MIN * max(mu, 1e-20) ** 0.25 \
                     if delta_c == 0.0 else min(10.0 * delta_c, 1e-4)
             if delta_w == 0.0:
                 delta_w = _DELTA_W0 if delta_w_last == 0.0 \
-                    else max(self.opt.reg_min, delta_w_last / 3.0)
+                    else max(_REG_MIN, delta_w_last / 3.0)
             else:
                 delta_w *= 8.0
             if delta_w > _DELTA_W_MAX or attempts > 40:
@@ -295,7 +289,7 @@ class _InteriorPoint:
             except RuntimeError:
                 lm *= 10.0
                 continue
-            tau = max(self.opt.tau_min, 1.0 - mu)
+            tau = max(_TAU_MIN, 1.0 - mu)
             a = min(_max_step(y, step, bp.L, 1.0),
                     _max_step(y, step, bp.U, -1.0))
             a = min(1.0, tau * a)
@@ -312,18 +306,18 @@ class _InteriorPoint:
 
     # -- main loop ----------------------------------------------------------
 
-    def solve(self, x0, lam0=None) -> SolveResult:
+    def solve(self, x0) -> SolveResult:
         t_start = time.perf_counter()
         bp = self.bp
         opt = self.opt
-        mu = opt.mu_init
+        mu = _MU_INIT
 
         y = np.zeros(bp.n_y)
         y[:bp.n_x] = x0
         x_probe = _push_inside(x0, bp.L[:bp.n_x], bp.U[:bp.n_x])
         y[bp.n_x:] = bp.p.ineq_constraints(x_probe)
         y = _push_inside(y, bp.L, bp.U)
-        lam = np.zeros(bp.m) if lam0 is None else lam0.copy()
+        lam = np.zeros(bp.m)
         zl = np.where(self.has_l, mu / np.where(self.has_l, y - bp.L, 1.0), 0.0)
         zu = np.where(self.has_u, mu / np.where(self.has_u, bp.U - y, 1.0), 0.0)
 
@@ -346,7 +340,7 @@ class _InteriorPoint:
                          min(_KAPPA_MU * mu, mu ** _THETA_MU))
                 filt.clear()
 
-            dy, dlam_full, delta_w, lu = self._solve_kkt(
+            dy, dlam, delta_w, lu = self._solve_kkt(
                 y, ev, lam, zl, zu, mu, delta_w_last)
             if dy is None:
                 y, ok = self._restore(y, mu)
@@ -360,13 +354,12 @@ class _InteriorPoint:
                 break
             if delta_w > 0.0:
                 delta_w_last = delta_w
-            dlam = dlam_full
             dl = np.where(self.has_l, y - bp.L, np.inf)
             du = np.where(self.has_u, bp.U - y, np.inf)
             dzl = np.where(self.has_l, (mu - zl * dy) / dl - zl, 0.0)
             dzu = np.where(self.has_u, (mu + zu * dy) / du - zu, 0.0)
 
-            tau = max(opt.tau_min, 1.0 - mu)
+            tau = max(_TAU_MIN, 1.0 - mu)
             a_max = min(_max_step(y, dy / tau, bp.L, 1.0),
                         _max_step(y, dy / tau, bp.U, -1.0))
             a_z = min(_max_step(zl, dzl / tau, np.where(self.has_l, 0.0, -np.inf), 1.0),
@@ -388,7 +381,7 @@ class _InteriorPoint:
             accepted = False
             soc_done = False
             n_backtrack = 0
-            while alpha >= opt.alpha_min:
+            while alpha >= _ALPHA_MIN:
                 trial = y + alpha * dy
                 c_t = bp.constraints(trial)
                 theta_t = np.abs(c_t).sum()
@@ -458,20 +451,8 @@ class _InteriorPoint:
             y = trial
             ev = self.evaluate(y)
             lam = lam + alpha * dlam
-            zl = np.clip(zl + a_z * dzl,
-                         np.where(self.has_l,
-                                  mu / (_KAPPA_SIGMA
-                                        * np.maximum(y - bp.L, 1e-300)), 0.0),
-                         np.where(self.has_l,
-                                  _KAPPA_SIGMA * mu
-                                  / np.maximum(y - bp.L, 1e-300), 0.0))
-            zu = np.clip(zu + a_z * dzu,
-                         np.where(self.has_u,
-                                  mu / (_KAPPA_SIGMA
-                                        * np.maximum(bp.U - y, 1e-300)), 0.0),
-                         np.where(self.has_u,
-                                  _KAPPA_SIGMA * mu
-                                  / np.maximum(bp.U - y, 1e-300), 0.0))
+            zl = _clip_dual(zl + a_z * dzl, y - bp.L, self.has_l, mu)
+            zu = _clip_dual(zu + a_z * dzu, bp.U - y, self.has_u, mu)
             if self.opt.iteration_log is not None:
                 self.log_rows.append(dict(
                     iteration=it, mu=mu, objective=bp.objective(y),
@@ -628,35 +609,30 @@ def _steady_initial_point(problem: NlpProblem) -> np.ndarray:
 
 
 def solve_steady(segnet: SegmentedNetwork, scenario: Scenario,
-                 options: Optional[SolverOptions] = None,
-                 smoothing_eps: float = 1e-8):
+                 options: Optional[SolverOptions] = None):
     """Solve the single-period problem with all data frozen at t = 0.
 
     On the one-point cyclic grid the forward differences cancel exactly,
     so the result is a true steady state.  Returns (result, problem).
     """
     grid = TimeGrid(n_points=1, dt=scenario.dt)
-    problem = assemble_nlp(segnet, scenario, grid, smoothing_eps=smoothing_eps)
+    problem = assemble_nlp(segnet, scenario, grid)
     x0 = _steady_initial_point(problem)
     result = solve_nlp(problem, x0, options)
     return result, problem
 
 
-def replicate_steady(steady_problem: NlpProblem, x_steady: np.ndarray,
-                     problem: NlpProblem) -> np.ndarray:
-    """Tile a steady solution across the transient grid (same network)."""
-    x = np.zeros(problem.index.total)
-    for q in ("rho_h2", "rho_ng", "eta", "f0", "fl", "alpha", "fc",
-              "qs", "qw", "ge"):
-        src = steady_problem.index.block(x_steady, q)
-        if src.size:
-            problem.index.block(x, q)[:] = src[:, :1]
-    return x
+def replicate_steady(x_steady: np.ndarray, problem: NlpProblem) -> np.ndarray:
+    """Tile a steady solution across the transient grid (same network).
+
+    Both layouts are entity-major and time-minor, so each steady value
+    repeats once per time step in place.
+    """
+    return np.repeat(x_steady, problem.grid.n_points)
 
 
 def solve_transient(segnet: SegmentedNetwork, scenario: Scenario,
                     options: Optional[SolverOptions] = None,
-                    smoothing_eps: float = 1e-8,
                     steady: Optional[tuple] = None):
     """Two-stage solve: steady state first, then the cyclic transient
     problem warm-started from the replicated steady solution.
@@ -665,12 +641,11 @@ def solve_transient(segnet: SegmentedNetwork, scenario: Scenario,
     """
     options = options or SolverOptions()
     if steady is None:
-        steady_result, steady_problem = solve_steady(
-            segnet, scenario, options, smoothing_eps=smoothing_eps)
+        steady_result, _ = solve_steady(segnet, scenario, options)
     else:
-        steady_result, steady_problem = steady
+        steady_result, _ = steady
     grid = TimeGrid(n_points=scenario.n_steps, dt=scenario.dt)
-    problem = assemble_nlp(segnet, scenario, grid, smoothing_eps=smoothing_eps)
-    x0 = replicate_steady(steady_problem, steady_result.x, problem)
+    problem = assemble_nlp(segnet, scenario, grid)
+    x0 = replicate_steady(steady_result.x, problem)
     result = solve_nlp(problem, x0, options)
     return result, problem, steady_result

@@ -13,7 +13,6 @@ compressor ratio and flow, supply flows, withdrawal flows and energies.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,10 +46,6 @@ class TimeGrid:
     def succ(self) -> np.ndarray:
         return (np.arange(self.n_points) + 1) % self.n_points
 
-    @property
-    def horizon(self) -> float:
-        return self.n_points * self.dt
-
 
 def build_time_grid(T_f: float, dt: float) -> TimeGrid:
     if dt <= 0.0 or T_f <= 0.0:
@@ -59,80 +54,6 @@ def build_time_grid(T_f: float, dt: float) -> TimeGrid:
     if abs(ratio - round(ratio)) > 1e-9:
         raise ConfigurationError(f"dt={dt} h does not divide the horizon {T_f} h")
     return TimeGrid(n_points=round(ratio), dt=dt)
-
-
-def cyclic_derivative(x_at_succ, x_at_n, dt: float):
-    """Forward-difference rate (x_succ - x_n)/dt; the wrap at the horizon
-    end enforces periodicity implicitly."""
-    if dt <= 0.0:
-        raise ConfigurationError(f"dt must be positive, got {dt}")
-    return (np.asarray(x_at_succ, dtype=float) - np.asarray(x_at_n, dtype=float)) / dt
-
-
-# ---------------------------------------------------------------------------
-# Reference (scalar) residual forms.  These document the per-entity
-# equations; the assembled problem evaluates vectorized equivalents.
-
-def pipe_segment_residuals(rho_h2_i, rho_ng_i, rho_h2_j, rho_ng_j,
-                           rho_h2_i_succ, rho_ng_i_succ, rho_h2_j_succ, rho_ng_j_succ,
-                           eta_i, eta_j, f0, fl,
-                           dt_seconds, storage, area_hat, resistance,
-                           c_h2, c_ng, smoothing_eps=0.0):
-    """Dimensionless H2/NG continuity and momentum residuals of one segment.
-
-    ``storage`` is L_hat*A_hat/kappa (seconds), ``resistance`` the momentum
-    coefficient in the stored flow units, ``c_h2``/``c_ng`` the partial
-    pressure coefficients a_k^2/a0^2.  Steady state is the dt -> inf limit
-    (zero rate), obtained by passing equal states at n and succ.
-    """
-    rate_h2 = ((rho_h2_i_succ + rho_h2_j_succ) - (rho_h2_i + rho_h2_j)) / (2.0 * dt_seconds)
-    rate_ng = ((rho_ng_i_succ + rho_ng_j_succ) - (rho_ng_i + rho_ng_j)) / (2.0 * dt_seconds)
-    r_h2 = storage * rate_h2 + (eta_j * fl - eta_i * f0)
-    r_ng = storage * rate_ng + ((1.0 - eta_j) * fl - (1.0 - eta_i) * f0)
-    p_i = c_h2 * rho_h2_i + c_ng * rho_ng_i
-    p_j = c_h2 * rho_h2_j + c_ng * rho_ng_j
-    rho_bar = 0.5 * (rho_h2_i + rho_ng_i + rho_h2_j + rho_ng_j)
-    if rho_bar <= 0.0:
-        raise AssemblyError("average segment density must be positive")
-    phi_bar = (f0 + fl) / (2.0 * area_hat)
-    abs_phi = math.sqrt(phi_bar ** 2 + smoothing_eps ** 2)
-    r_mom = p_j - p_i + resistance * phi_bar * abs_phi / rho_bar
-    return r_h2, r_ng, r_mom
-
-
-def compressor_residual(p_i, p_j, alpha):
-    """Squared-pressure boost equality p_j^2 - alpha^2 p_i^2."""
-    return p_j ** 2 - alpha ** 2 * p_i ** 2
-
-
-def nodal_balance_residuals(inflows, outflows, qs, qw, eta_node, eta_supply):
-    """Species balances at a node; flows are (flow, concentration) pairs.
-
-    Returns (H2 residual, NG residual).  Their sum is the total mass
-    balance.  Positive supply adds mass, positive withdrawal removes it.
-    """
-    r_h2 = (sum(g * f for f, g in inflows) - sum(g * f for f, g in outflows)
-            + eta_supply * qs - eta_node * qw)
-    r_ng = (sum((1.0 - g) * f for f, g in inflows) - sum((1.0 - g) * f for f, g in outflows)
-            + (1.0 - eta_supply) * qs - (1.0 - eta_node) * qw)
-    return r_h2, r_ng
-
-
-def compatibility_residuals(rho_h2, rho_ng, eta, c_h2, c_ng, p_slack=None):
-    """Cleared-denominator concentration definition and, when requested,
-    the slack pressure equation."""
-    r_conc = eta * (rho_h2 + rho_ng) - rho_h2
-    if p_slack is None:
-        return (r_conc,)
-    return (r_conc, c_h2 * rho_h2 + c_ng * rho_ng - p_slack)
-
-
-def energy_residual(ge, eta, qw, heat_ratio):
-    """Energy definition g_E - (eta*r + (1 - eta)) * q_w with r = R_H2/R_NG."""
-    return ge - ((heat_ratio - 1.0) * eta + 1.0) * qw
-
-
-# ---------------------------------------------------------------------------
 
 
 class VariableIndex:
@@ -149,8 +70,8 @@ class VariableIndex:
         self.node_pos = {nid: k for k, nid in enumerate(self.node_ids)}
         self.segment_ids = [s.id for s in segnet.segments]
         self.compressor_ids = [c.id for c in segnet.compressors]
-        self.supply_ids = [n.id for n in nodes if n.role in ("slack", "injection")]
-        self.withdrawal_ids = [n.id for n in nodes if n.role == "withdrawal"]
+        self.supply_ids = segnet.original.supply_ids
+        self.withdrawal_ids = segnet.original.withdrawal_ids
         self._entities = {
             "rho_h2": self.node_ids,
             "rho_ng": self.node_ids,
@@ -172,12 +93,6 @@ class VariableIndex:
 
     def base(self, quantity: str) -> int:
         return self._base[quantity]
-
-    def entity_ids(self, quantity: str) -> list[str]:
-        return self._entities[quantity]
-
-    def idx(self, quantity: str, entity: int, t: int) -> int:
-        return self._base[quantity] + entity * self.grid.n_points + t
 
     def block(self, x: np.ndarray, quantity: str) -> np.ndarray:
         """View of x for one quantity, shaped (n_entities, N)."""
@@ -659,11 +574,10 @@ class NlpProblem:
 
     # -- Hessian of the Lagrangian -----------------------------------------
 
-    def lagrangian_hessian(self, x, obj_factor, lam_eq, lam_ineq=None) -> sp.csr_matrix:
-        """Symmetric Hessian obj_factor*H_f + sum lam_i * H_ci.
+    def lagrangian_hessian(self, x, lam_eq) -> sp.csr_matrix:
+        """Symmetric Hessian H_f + sum lam_i * H_ci of the equality rows.
 
-        Inequality rows are linear, so ``lam_ineq`` never contributes; the
-        argument is accepted for interface symmetry.
+        Inequality rows are linear, so their multipliers never contribute.
         """
         off = self.row_offset
         rows, cols, vals = [], [], []
@@ -737,13 +651,12 @@ class NlpProblem:
         if len(lam9):
             addsym(self.E_eta, self.E_qw, -lam9 * (self.heat_ratio - 1.0))
         # objective curvature
-        if obj_factor != 0.0 and len(self.C_alpha):
+        if len(self.C_alpha):
             alpha = x[self.C_alpha]
             fc = x[self.C_fc]
             sq = np.sqrt(alpha)
-            addsym(self.C_fc, self.C_alpha, obj_factor * self.obj_wc / (2.0 * sq))
-            addsym(self.C_alpha, self.C_alpha,
-                   -obj_factor * self.obj_wc * fc / (4.0 * alpha * sq))
+            addsym(self.C_fc, self.C_alpha, self.obj_wc / (2.0 * sq))
+            addsym(self.C_alpha, self.C_alpha, -self.obj_wc * fc / (4.0 * alpha * sq))
         n = self.index.total
         return sp.csr_matrix((np.concatenate(vals),
                               (np.concatenate(rows), np.concatenate(cols))),

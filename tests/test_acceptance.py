@@ -175,7 +175,7 @@ class TestCriterion8SteadyLimit:
         result, problem, _ = solve_transient(
             segnet, flat, options, steady=(steady_result, steady_problem))
         assert result.success
-        tiled = replicate_steady(steady_problem, steady_result.x, problem)
+        tiled = replicate_steady(steady_result.x, problem)
         assert np.abs(result.x - tiled).max() <= 1e-6
 
 

@@ -33,6 +33,14 @@ class TestArgumentsAndExitCodes:
         net_path.write_text("{broken")
         assert run_cli("--network", net_path, "--scenario", scn_path) == 2
 
+    def test_malformed_number(self, case_files, capsys):
+        net_path, scn_path = case_files
+        doc = copy.deepcopy(LINE_NETWORK_DOC)
+        doc["pipes"][0]["D"] = "wide"
+        net_path.write_text(json.dumps(doc))
+        assert run_cli("--network", net_path, "--scenario", scn_path) == 2
+        assert "pipes['P1']: D must be a number" in capsys.readouterr().err
+
     def test_bad_topology(self, tmp_path, case_files):
         net_path, scn_path = case_files
         doc = copy.deepcopy(LINE_NETWORK_DOC)

@@ -5,7 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import LINE_NETWORK_DOC, line_network, short_scenario
+from conftest import (
+    LINE_NETWORK_DOC,
+    SHORT_SCENARIO_DOC,
+    line_network,
+    short_scenario,
+)
 from h2blend.network import (
     ParseError,
     Pipe,
@@ -25,11 +30,6 @@ def doc():
 
 
 class TestParseNetwork:
-    def test_round_trip(self):
-        net = parse_network(doc())
-        again = parse_network(net.to_document())
-        assert again == net
-
     def test_defaults(self):
         net = parse_network(doc())
         pipe = net.pipes[0]
@@ -92,6 +92,27 @@ class TestParseNetwork:
         with pytest.raises(ParseError, match="p_min < p_max"):
             parse_network(d)
 
+    @pytest.mark.parametrize("parse, document, mutate, message", [
+        (parse_network, LINE_NETWORK_DOC, lambda d: d["pipes"][0].pop("L"),
+         r"pipes\['P1'\]: L is missing"),
+        (parse_network, LINE_NETWORK_DOC, lambda d: d["pipes"][0].update(D="wide"),
+         r"pipes\['P1'\]: D must be a number, got 'wide'"),
+        (parse_network, LINE_NETWORK_DOC,
+         lambda d: d.update(compressors=[{"id": "C1", "from": "N1", "to": "N3"}]),
+         r"compressors\['C1'\]: fc_max is missing"),
+        (parse_scenario, SHORT_SCENARIO_DOC,
+         lambda d: d.update(profiles={"N1": {"type": "sinusoid", "delta": 0.01}}),
+         r"profiles\['N1'\]: eta0 is missing"),
+        (parse_scenario, SHORT_SCENARIO_DOC, lambda d: d.update(dt_hours="half"),
+         r"scenario: dt_hours must be a number, got 'half'"),
+    ])
+    def test_malformed_number_names_its_location(self, parse, document, mutate,
+                                                 message):
+        d = copy.deepcopy(document)
+        mutate(d)
+        with pytest.raises(ParseError, match=message):
+            parse(d)
+
     def test_load_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -147,6 +168,16 @@ class TestSegmentPipes:
         aux = next(n for n in seg.nodes if n.id == "P1.1")
         assert aux.p_max == 5.5e6
 
+    def test_rejects_disjoint_endpoint_pressure_ranges(self):
+        d = doc()
+        d["nodes"][0].update(p_max=4.0e6, p_slack=3.5e6)
+        d["nodes"][1]["p_min"] = 4.5e6
+        net = parse_network(d)
+        with pytest.raises(ValueError, match="'P1'.*do not overlap"):
+            segment_pipes(net, 10000.0)
+        # one segment creates no auxiliary junction, so nothing is crossed
+        assert len(segment_pipes(net, 1.0e6).segments) == 1
+
     def test_rejects_non_positive_dl(self):
         with pytest.raises(ValueError):
             segment_pipes(line_network(), 0.0)
@@ -197,6 +228,12 @@ class TestParseScenario:
         assert scn.profiles["N1"].kind == "sinusoid"
         with pytest.raises(ParseError, match="unknown profile type"):
             parse_scenario({"profiles": {"N1": {"type": "ramp"}}})
+
+    def test_series_times_must_increase(self):
+        for times in ([12.0, 0.0], [0.0, 0.0]):
+            with pytest.raises(ParseError, match="strictly increase"):
+                parse_scenario({"profiles": {"N1": {
+                    "type": "series", "times": times, "values": [0.2, 0.0]}}})
 
     def test_supply_fraction_falls_back_to_node_eta(self):
         scn = short_scenario()

@@ -5,73 +5,9 @@ import pytest
 from h2blend.physics import (
     DomainError,
     GasConstants,
-    MixtureState,
-    energy_rate,
-    eos_pressure,
-    mixture_sound_speed_sq,
     nondim_scales,
     pipe_beta,
 )
-
-GAS = GasConstants()
-
-
-class TestMixtureSoundSpeed:
-    def test_pure_components(self):
-        assert mixture_sound_speed_sq(0.0, GAS) == pytest.approx(386.9 ** 2)
-        assert mixture_sound_speed_sq(1.0, GAS) == pytest.approx(1091.4 ** 2)
-
-    def test_ten_percent_blend(self):
-        # 0.1 * 1091.4^2 + 0.9 * 386.9^2, evaluated by hand
-        assert mixture_sound_speed_sq(0.1, GAS) == pytest.approx(
-            253837.845, rel=1e-9)
-
-    def test_monotone_in_eta(self):
-        values = [mixture_sound_speed_sq(e / 10.0, GAS) for e in range(11)]
-        assert all(b > a for a, b in zip(values, values[1:]))
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(DomainError):
-            mixture_sound_speed_sq(-0.01, GAS)
-        with pytest.raises(DomainError):
-            mixture_sound_speed_sq(1.01, GAS)
-
-
-class TestEosPressure:
-    def test_linear_in_partial_densities(self):
-        # 0.5 * 1091.4^2 + 5.0 * 386.9^2 = 1344035.03 Pa
-        assert eos_pressure(0.5, 5.0, GAS) == pytest.approx(1344035.03, rel=1e-9)
-
-    def test_additive(self):
-        p1 = eos_pressure(0.3, 2.0, GAS)
-        p2 = eos_pressure(0.2, 3.0, GAS)
-        assert eos_pressure(0.5, 5.0, GAS) == pytest.approx(p1 + p2)
-
-    def test_consistent_with_mixture_sound_speed(self):
-        rho_h2, rho_ng = 0.4, 3.6
-        eta = rho_h2 / (rho_h2 + rho_ng)
-        a2 = mixture_sound_speed_sq(eta, GAS)
-        assert eos_pressure(rho_h2, rho_ng, GAS) == pytest.approx(
-            a2 * (rho_h2 + rho_ng))
-
-    def test_rejects_bad_densities(self):
-        with pytest.raises(DomainError):
-            eos_pressure(-0.1, 1.0, GAS)
-        with pytest.raises(DomainError):
-            eos_pressure(0.0, 0.0, GAS)
-
-
-class TestEnergyRate:
-    def test_blend_value(self):
-        # (0.1 * 141.8 + 0.9 * 44.2) * 100 = 5396 MJ/s
-        assert energy_rate(0.1, 100.0, GAS) == pytest.approx(5396.0)
-
-    def test_pure_ng(self):
-        assert energy_rate(0.0, 10.0, GAS) == pytest.approx(442.0)
-
-    def test_rejects_negative_flow(self):
-        with pytest.raises(DomainError):
-            energy_rate(0.1, -1.0, GAS)
 
 
 class TestNondimScales:
@@ -127,18 +63,3 @@ class TestGasConstants:
         with pytest.raises(DomainError):
             GasConstants(R_H2=40.0, R_NG=44.2)
 
-
-class TestMixtureState:
-    def test_from_partial_densities_is_consistent(self):
-        st = MixtureState.from_partial_densities(0.5, 5.0, GAS)
-        assert st.eta == pytest.approx(0.5 / 5.5)
-        assert st.consistency_error(GAS) == 0.0
-
-    def test_detects_drift(self):
-        st = MixtureState(rho_H2=0.5, rho_NG=5.0, eta=0.2,
-                          a2=mixture_sound_speed_sq(0.2, GAS), p=1.0e6)
-        assert st.consistency_error(GAS) > 1e-2
-
-    def test_rejects_empty_state(self):
-        with pytest.raises(DomainError):
-            MixtureState.from_partial_densities(0.0, 0.0, GAS)

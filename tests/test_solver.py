@@ -1,11 +1,12 @@
+import copy
 import types
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import line_network, short_scenario
-from h2blend.network import segment_pipes
+from conftest import LINE_NETWORK_DOC, line_network, short_scenario
+from h2blend.network import parse_network, segment_pipes
 from h2blend.physics import GasConstants
 from h2blend.solution import SolutionTrajectory
 from h2blend.solver import (
@@ -18,6 +19,7 @@ from h2blend.solver import (
     solve_transient,
 )
 from h2blend.transcription import NlpProblem, TimeGrid, assemble_nlp
+from h2blend.validation import run_audits
 
 
 def kkt_residuals(problem, result) -> dict:
@@ -74,8 +76,8 @@ class QuadraticProblem:
     def gradient(self, x):
         return np.array([2.0 * (x[0] - 2.0), 2.0 * (x[1] + 1.0)])
 
-    def lagrangian_hessian(self, x, obj_factor, lam_eq, lam_ineq=None):
-        return sp.csr_matrix(2.0 * obj_factor * np.eye(2))
+    def lagrangian_hessian(self, x, lam_eq):
+        return sp.csr_matrix(2.0 * np.eye(2))
 
 
 class TestInteriorPointOnQuadratics:
@@ -210,7 +212,7 @@ class TestTransient:
             segnet, scenario, options,
             steady=(steady_result, steady_problem))
         assert result.success
-        tiled = replicate_steady(steady_problem, steady_result.x, problem)
+        tiled = replicate_steady(steady_result.x, problem)
         assert np.abs(result.x - tiled).max() <= 1e-6
 
     def test_replicate_steady_layout(self):
@@ -219,11 +221,25 @@ class TestTransient:
         transient_problem = assemble_nlp(
             segnet, scenario, TimeGrid(scenario.n_steps, scenario.dt))
         x_steady = np.arange(steady_problem.index.total, dtype=float)
-        x = replicate_steady(steady_problem, x_steady, transient_problem)
+        x = replicate_steady(x_steady, transient_problem)
         for q in ("rho_h2", "eta", "f0", "qw"):
             src = steady_problem.index.block(x_steady, q)
             dst = transient_problem.index.block(x, q)
             assert np.all(dst == src[:, :1])
+
+    def test_fixed_demand_is_delivered_at_every_step(self):
+        doc = copy.deepcopy(LINE_NETWORK_DOC)
+        doc["nodes"][1].pop("gE_max")
+        doc["nodes"][1]["gE_fixed"] = 5000.0
+        scenario = short_scenario(profiles={
+            "N1": {"type": "sinusoid", "eta0": 0.1, "delta": 0.01, "nu": 1.0}})
+        segnet = segment_pipes(parse_network(doc), scenario.dL)
+        result, problem, steady_result = solve_transient(segnet, scenario)
+        assert steady_result.success and result.success
+        tr = SolutionTrajectory.from_solution(problem, result.x)
+        assert tr.gE == pytest.approx(np.full((1, scenario.n_steps), 5000.0),
+                                      abs=1e-6)
+        assert run_audits(tr, segnet, scenario, feasibility_tol=1e-5).passed
 
     def test_solution_invariant_under_nondim_scales(self):
         base_seg, base_scn = steady_line_case(eta_s=0.1)

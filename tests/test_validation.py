@@ -7,7 +7,6 @@ from conftest import line_network, short_scenario
 from h2blend.network import segment_pipes
 from h2blend.solution import SolutionTrajectory
 from h2blend.solver import solve_transient
-from h2blend.transcription import pipe_segment_residuals
 from h2blend.validation import (
     AuditReport,
     check_feasibility,
@@ -18,6 +17,7 @@ from h2blend.validation import (
     periodicity_check,
     run_audits,
 )
+from reference_forms import pipe_segment_residuals
 
 
 @pytest.fixture(scope="module")
