@@ -98,6 +98,21 @@ def _require(cond: bool, where: str, msg: str):
         raise ParseError(f"{where}: {msg}")
 
 
+def _object(value, where: str) -> dict:
+    """``value`` if it is a JSON object; ParseError naming ``where`` if not."""
+    _require(isinstance(value, dict), where,
+             f"must be an object, got {type(value).__name__}")
+    return value
+
+
+def _objects(document: dict, key: str) -> list[dict]:
+    """The array ``document[key]`` (empty if absent); every entry an object."""
+    entries = document.get(key, [])
+    _require(isinstance(entries, list), key,
+             f"must be an array, got {type(entries).__name__}")
+    return [_object(entry, f"{key}[{k}]") for k, entry in enumerate(entries)]
+
+
 def _number(value, where: str, key: str) -> float:
     """``value`` as a float; ParseError naming ``where`` and ``key`` if it is
     missing or not a number."""
@@ -115,10 +130,10 @@ def parse_network(document: dict) -> Network:
     unknown node references, duplicate ids, missing slack nodes or negative
     parameters.
     """
-    _require(isinstance(document, dict), "network", "document must be an object")
+    _object(document, "network")
     nodes = []
     seen: set[str] = set()
-    for entry in document.get("nodes", []):
+    for entry in _objects(document, "nodes"):
         nid = entry.get("id")
         where = f"nodes[{nid!r}]"
         _require(isinstance(nid, str) and nid, where, "missing id")
@@ -162,7 +177,7 @@ def parse_network(document: dict) -> Network:
         _require(nid in seen, where, f"unknown node reference {nid!r}")
 
     pipes = []
-    for entry in document.get("pipes", []):
+    for entry in _objects(document, "pipes"):
         pid = entry.get("id")
         where = f"pipes[{pid!r}]"
         _require(isinstance(pid, str) and pid, where, "missing id")
@@ -180,7 +195,7 @@ def parse_network(document: dict) -> Network:
         pipes.append(Pipe(id=pid, from_node=frm, to_node=to, L=L, D=D, lam=lam, A=A))
 
     compressors = []
-    for entry in document.get("compressors", []):
+    for entry in _objects(document, "compressors"):
         cid = entry.get("id")
         where = f"compressors[{cid!r}]"
         _require(isinstance(cid, str) and cid, where, "missing id")
@@ -338,8 +353,10 @@ def injection_profile(eta0: float, delta: float, nu: float, t, T: float):
 class Profile:
     """Time profile for supply concentration: sinusoid or sampled series.
 
-    Sampled series are piecewise constant over each sampling interval;
-    sinusoids are evaluated exactly at grid points.
+    Sampled series are piecewise constant over each sampling interval and
+    periodic: before the first sample time the last value still holds,
+    carried over from the previous period.  Sinusoids are evaluated
+    exactly at grid points.
     """
 
     kind: str                                 # "sinusoid" | "series" | "constant"
@@ -356,8 +373,8 @@ class Profile:
         if self.kind == "sinusoid":
             return np.asarray(injection_profile(self.eta0, self.delta, self.nu,
                                                 t, period_hours))
+        # before the first sample the index is -1, which picks the last value
         idx = np.searchsorted(np.asarray(self.times), t, side="right") - 1
-        idx = np.clip(idx, 0, len(self.values) - 1)
         return np.asarray(self.values, dtype=float)[idx]
 
 
@@ -414,7 +431,7 @@ class Scenario:
 
 def _parse_profile(node_id: str, entry: dict) -> Profile:
     where = f"profiles[{node_id!r}]"
-    kind = entry.get("type")
+    kind = _object(entry, where).get("type")
     if kind == "sinusoid":
         eta0 = _number(entry.get("eta0"), where, "eta0")
         delta = _number(entry.get("delta", 0.0), where, "delta")
@@ -442,15 +459,19 @@ def _parse_profile(node_id: str, entry: dict) -> Profile:
 
 
 def parse_scenario(document: dict) -> Scenario:
-    _require(isinstance(document, dict), "scenario", "document must be an object")
+    _object(document, "scenario")
+
+    def section(key: str) -> dict:
+        return _object(document.get(key, {}), f"scenario.{key}")
+
     profiles = {
         node_id: _parse_profile(node_id, entry)
-        for node_id, entry in document.get("profiles", {}).items()
+        for node_id, entry in section("profiles").items()
     }
-    prices = document.get("prices", {})
-    cost = document.get("compressor_cost", {})
-    gas_doc = document.get("gas", {})
-    scales_doc = document.get("scales", {})
+    prices = section("prices")
+    cost = section("compressor_cost")
+    gas_doc = section("gas")
+    scales_doc = section("scales")
 
     def number(doc: dict, key: str, default: float, where: str = "scenario") -> float:
         return _number(doc.get(key, default), where, key)

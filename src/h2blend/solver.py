@@ -13,7 +13,8 @@ until the computed direction has positive curvature.  Step acceptance
 uses the classic filter line search with a second-order correction and
 a Levenberg-Marquardt feasibility restoration as a fallback.
 Constraints, Jacobian and gradient are evaluated once per accepted
-iterate and shared by the KKT error, the KKT system and the line search.
+iterate and shared by the KKT error, the KKT system and the line search;
+restoration starts from that evaluation and evaluates each point once.
 """
 
 from __future__ import annotations
@@ -96,8 +97,12 @@ class _BarrierProblem:
         self.U = np.concatenate([ub, problem.ineq_ub])
         n_fix = len(self.fix_idx)
         self.m = problem.n_eq + problem.n_ineq + n_fix
-        self._fix_jac = sp.csr_matrix(
+        # the inequality and pinned-variable rows are linear, so built once
+        fix_jac = sp.csr_matrix(
             (np.ones(n_fix), (np.arange(n_fix), self.fix_idx)), shape=(n_fix, self.n_x))
+        self._const_rows = sp.bmat(
+            [[problem.ineq_jacobian(np.zeros(self.n_x)), -sp.identity(self.n_s, format="csr")],
+             [fix_jac, None]], format="csr")
 
     def split(self, y):
         return y[:self.n_x], y[self.n_x:]
@@ -109,9 +114,9 @@ class _BarrierProblem:
 
     def jacobian(self, y) -> sp.csr_matrix:
         x, _ = self.split(y)
-        return sp.bmat([[self.p.eq_jacobian(x), None],
-                        [self.p.ineq_jacobian(x), -sp.identity(self.n_s, format="csr")],
-                        [self._fix_jac, None]], format="csr")
+        j_eq = self.p.eq_jacobian(x)
+        j_eq.resize(self.p.n_eq, self.n_y)
+        return sp.vstack([j_eq, self._const_rows], format="csr")
 
     def objective(self, y) -> float:
         return self.p.objective(y[:self.n_x])
@@ -264,28 +269,33 @@ class _InteriorPoint:
 
     # -- restoration --------------------------------------------------------
 
-    def _restore(self, y, mu):
-        """Levenberg-Marquardt steps on 0.5*||C||^2 inside the bounds.
+    def _restore(self, y, ev, mu):
+        """Levenberg-Marquardt steps on 0.5*||C||^2 inside the bounds,
+        starting from y with its evaluation ev.
 
         Returns (y_new, success).  Success means the violation dropped
-        enough to resume the main algorithm.
+        enough to resume the main algorithm.  The Jacobian is evaluated
+        once per accepted point; rejected steps reuse J^T J and J^T c.
         """
         bp = self.bp
-        theta0 = np.abs(bp.constraints(y)).sum()
+        c, J = ev[0], ev[1]
+        theta0 = np.abs(c).sum()
         lm = 1e-4
         best = y.copy()
         best_theta = theta0
+        JtJ = None
         for _ in range(40):
-            c = bp.constraints(y)
             theta = np.abs(c).sum()
             if theta < best_theta:
                 best, best_theta = y.copy(), theta
             if theta <= 0.5 * theta0 or theta < 1e-12:
                 break
-            J = bp.jacobian(y).tocsc()
-            A = (J.T @ J + lm * sp.identity(bp.n_y)).tocsc()
+            if JtJ is None:
+                J = (bp.jacobian(y) if J is None else J).tocsc()
+                JtJ, Jtc = J.T @ J, J.T @ c
+            A = (JtJ + lm * sp.identity(bp.n_y)).tocsc()
             try:
-                step = splu(A, permc_spec="COLAMD").solve(-(J.T @ c))
+                step = splu(A, permc_spec="COLAMD").solve(-Jtc)
             except RuntimeError:
                 lm *= 10.0
                 continue
@@ -294,8 +304,9 @@ class _InteriorPoint:
                     _max_step(y, step, bp.U, -1.0))
             a = min(1.0, tau * a)
             trial = y + a * step
-            if np.abs(bp.constraints(trial)).sum() < theta:
-                y = trial
+            c_trial = bp.constraints(trial)
+            if np.abs(c_trial).sum() < theta:
+                y, c, J, JtJ = trial, c_trial, None, None
                 lm = max(1e-8, lm / 3.0)
             else:
                 lm *= 10.0
@@ -343,7 +354,7 @@ class _InteriorPoint:
             dy, dlam, delta_w, lu = self._solve_kkt(
                 y, ev, lam, zl, zu, mu, delta_w_last)
             if dy is None:
-                y, ok = self._restore(y, mu)
+                y, ok = self._restore(y, ev, mu)
                 y = _push_inside(y, bp.L, bp.U)
                 ev = self.evaluate(y)
                 if ok:
@@ -395,11 +406,9 @@ class _InteriorPoint:
                         break
                 elif filter_ok(theta_t, phi_t):
                     accepted = True
-                    if not (theta <= theta_min and switching
-                            and phi_t <= phi + _ETA_PHI * alpha * dphi):
-                        if not (phi_t <= phi - _GAMMA_PHI * theta):
-                            filt.append(((1.0 - _GAMMA_THETA) * theta,
-                                         phi - _GAMMA_PHI * theta))
+                    if not (phi_t <= phi - _GAMMA_PHI * theta):
+                        filt.append(((1.0 - _GAMMA_THETA) * theta,
+                                     phi - _GAMMA_PHI * theta))
                     break
                 # second-order correction on the first rejected full-ish step
                 if not soc_done and n_backtrack == 0 and lu is not None \
@@ -432,7 +441,7 @@ class _InteriorPoint:
                 n_backtrack += 1
 
             if not accepted:
-                y_new, ok = self._restore(y, mu)
+                y_new, ok = self._restore(y, ev, mu)
                 if ok:
                     y = _push_inside(y_new, bp.L, bp.U)
                     ev = self.evaluate(y)

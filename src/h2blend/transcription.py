@@ -109,12 +109,6 @@ class VariableIndex:
         return out
 
 
-def _cols(index: VariableIndex, quantity: str, ents: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Flattened variable indices for entity array x time array (ent-major)."""
-    N = index.grid.n_points
-    return (index.base(quantity) + ents[:, None] * N + times[None, :]).ravel()
-
-
 class NlpProblem:
     """Assembled sparse NLP: bounds, residuals, objective and derivatives.
 
@@ -123,6 +117,10 @@ class NlpProblem:
     balance, species (H2) balance at supply and compressor-outlet nodes,
     nodal concentration definition, slack pressure, withdrawal energy.
     Inequalities: nodal pressure bounds at non-slack nodes.
+
+    Every term except pipe friction and compressor boost is linear or
+    bilinear and is tabulated once at assembly; residuals, Jacobian and
+    Hessian entries all follow from those tables.
 
     Every residual at time index n references only indices n and succ(n);
     evaluation order is fixed so identical inputs give identical outputs.
@@ -164,11 +162,9 @@ class NlpProblem:
 
         # supply concentration data eta_s[node, t]
         node_by_id = {n.id: n for n in nodes}
-        self.eta_s = np.vstack([
-            scn.supply_fraction(node_by_id[nid], grid.points)
-            for nid in idx.supply_ids
-        ]) if idx.supply_ids else np.zeros((0, N))
-        if self.eta_s.size and (self.eta_s.min() < 0.0 or self.eta_s.max() > 1.0):
+        self.eta_s = np.array([scn.supply_fraction(node_by_id[nid], grid.points)
+                               for nid in idx.supply_ids]).reshape(-1, N)
+        if np.any((self.eta_s < 0.0) | (self.eta_s > 1.0)):
             raise AssemblyError("supply concentration profile leaves [0, 1]")
 
         # --- bounds --------------------------------------------------------
@@ -203,161 +199,166 @@ class NlpProblem:
             raise AssemblyError("crossed variable bounds")
         self.lb, self.ub = lb, ub
 
-        # --- segment data ---------------------------------------------------
-        nseg = len(segs)
-        seg_i = np.array([pos[s.from_node] for s in segs], dtype=int)
-        seg_j = np.array([pos[s.to_node] for s in segs], dtype=int)
-        self.seg_i, self.seg_j = seg_i, seg_j
+        # --- entities -------------------------------------------------------
+        def at(ids):
+            return np.array([pos[i] for i in ids], dtype=int)
+
+        seg_i = at(s.from_node for s in segs)
+        seg_j = at(s.to_node for s in segs)
+        com_i = at(c.from_node for c in comps)
+        com_j = at(c.to_node for c in comps)
+        sup_pos = at(idx.supply_ids)
+        wd_pos = at(idx.withdrawal_ids)
+        E, C = np.arange(len(segs)), np.arange(len(comps))
+        S, W = np.arange(len(sup_pos)), np.arange(len(wd_pos))
+        all_nodes = np.arange(len(nodes))
         self.seg_storage = np.array(
             [(s.L / sc.l0) * (s.A / sc.A0) / sc.kappa for s in segs])
         # momentum coefficient in the stored flow units: M^4 * (1/M^2) lam L/(2D)
         self.seg_resistance = np.array(
             [pipe_beta(s.lam, s.L, s.D, sc.M) * sc.M ** 4 for s in segs])
         self.seg_area = np.array([s.A / sc.A0 for s in segs])
-
-        ents_seg = np.arange(nseg)
-        self.F1_rh_i = _cols(idx, "rho_h2", seg_i, t)
-        self.F1_rh_j = _cols(idx, "rho_h2", seg_j, t)
-        self.F1_rh_i_p = _cols(idx, "rho_h2", seg_i, tp)
-        self.F1_rh_j_p = _cols(idx, "rho_h2", seg_j, tp)
-        self.F2_rn_i = _cols(idx, "rho_ng", seg_i, t)
-        self.F2_rn_j = _cols(idx, "rho_ng", seg_j, t)
-        self.F2_rn_i_p = _cols(idx, "rho_ng", seg_i, tp)
-        self.F2_rn_j_p = _cols(idx, "rho_ng", seg_j, tp)
-        self.F_eta_i = _cols(idx, "eta", seg_i, t)
-        self.F_eta_j = _cols(idx, "eta", seg_j, t)
-        self.F_f0 = _cols(idx, "f0", ents_seg, t)
-        self.F_fl = _cols(idx, "fl", ents_seg, t)
-        self.seg_S = np.repeat(self.seg_storage, N)
         self.seg_B = np.repeat(self.seg_resistance, N)
         self.seg_Ah = np.repeat(self.seg_area, N)
+        # The species (H2) balance is imposed only where it is independent of
+        # the total balance: supply nodes and nodes fed by a compressor (whose
+        # inlet concentration is the upstream node's, not the local one).
+        self.species_nodes = list(dict.fromkeys(sup_pos.tolist() + com_j.tolist()))
+        species_row = np.full(len(nodes), -1)
+        species_row[self.species_nodes] = np.arange(len(self.species_nodes))
+        self.slack_pos = at(i for i in self.segnet.original.slack_ids if i in pos)
+        slack_set = set(self.slack_pos.tolist())
+        self.press_pos = np.array([k for k in all_nodes if k not in slack_set], dtype=int)
 
-        # --- compressor data -----------------------------------------------
-        ncomp = len(comps)
-        com_i = np.array([pos[c.from_node] for c in comps], dtype=int)
-        com_j = np.array([pos[c.to_node] for c in comps], dtype=int)
-        ents_com = np.arange(ncomp)
-        self.C_rh_i = _cols(idx, "rho_h2", com_i, t)
-        self.C_rn_i = _cols(idx, "rho_ng", com_i, t)
-        self.C_rh_j = _cols(idx, "rho_h2", com_j, t)
-        self.C_rn_j = _cols(idx, "rho_ng", com_j, t)
-        self.C_alpha = _cols(idx, "alpha", ents_com, t)
-        self.C_fc = _cols(idx, "fc", ents_com, t)
-
-        # --- total mass balance (linear) -----------------------------------
-        n_nodes = len(nodes)
-        bal_rows = []
-        bal_cols = []
-        bal_vals = []
-
-        def add_lin(node_k, quantity, ent, sign):
-            bal_rows.append((node_k * N + t))
-            bal_cols.append(idx.base(quantity) + ent * N + t)
-            bal_vals.append(np.full(N, float(sign)))
-
-        for e, s in enumerate(segs):
-            add_lin(pos[s.to_node], "fl", e, +1.0)
-            add_lin(pos[s.from_node], "f0", e, -1.0)
-        for e, c in enumerate(comps):
-            add_lin(pos[c.to_node], "fc", e, +1.0)
-            add_lin(pos[c.from_node], "fc", e, -1.0)
-        for e, nid in enumerate(idx.supply_ids):
-            add_lin(pos[nid], "qs", e, +1.0)
-        for e, nid in enumerate(idx.withdrawal_ids):
-            add_lin(pos[nid], "qw", e, -1.0)
-        self.B_rows = np.concatenate(bal_rows) if bal_rows else np.zeros(0, dtype=int)
-        self.B_cols = np.concatenate(bal_cols) if bal_cols else np.zeros(0, dtype=int)
-        self.B_vals = np.concatenate(bal_vals) if bal_vals else np.zeros(0)
-        self.n_balance_rows = n_nodes * N
-
-        # --- species (H2) balance rows -------------------------------------
-        # Imposed only where independent of the total balance: supply nodes
-        # and nodes fed by a compressor (whose inlet concentration is the
-        # upstream node's, not the local one).
-        species_set = list(dict.fromkeys(
-            [pos[nid] for nid in idx.supply_ids]
-            + [pos[c.to_node] for c in comps]))
-        self.species_nodes = species_set
-        srow_of = {k: r for r, k in enumerate(species_set)}
-        sp_rows, sp_eta, sp_f, sp_sign = [], [], [], []
-
-        def add_bil(node_k, eta_node_k, quantity, ent, sign):
-            sp_rows.append(srow_of[node_k] * N + t)
-            sp_eta.append(idx.base("eta") + eta_node_k * N + t)
-            sp_f.append(idx.base(quantity) + ent * N + t)
-            sp_sign.append(np.full(N, float(sign)))
-
-        for e, s in enumerate(segs):
-            if pos[s.to_node] in srow_of:
-                add_bil(pos[s.to_node], pos[s.to_node], "fl", e, +1.0)
-            if pos[s.from_node] in srow_of:
-                add_bil(pos[s.from_node], pos[s.from_node], "f0", e, -1.0)
-        for e, c in enumerate(comps):
-            if pos[c.to_node] in srow_of:
-                # compressor outlet concentration equals the inlet node's
-                add_bil(pos[c.to_node], pos[c.from_node], "fc", e, +1.0)
-            if pos[c.from_node] in srow_of:
-                add_bil(pos[c.from_node], pos[c.from_node], "fc", e, -1.0)
-        for e, nid in enumerate(idx.withdrawal_ids):
-            if pos[nid] in srow_of:
-                add_bil(pos[nid], pos[nid], "qw", e, -1.0)
-        self.S_rows = np.concatenate(sp_rows) if sp_rows else np.zeros(0, dtype=int)
-        self.S_eta = np.concatenate(sp_eta) if sp_eta else np.zeros(0, dtype=int)
-        self.S_f = np.concatenate(sp_f) if sp_f else np.zeros(0, dtype=int)
-        self.S_sign = np.concatenate(sp_sign) if sp_sign else np.zeros(0)
-        # linear supply terms eta_s(t) * qs
-        sq_rows, sq_cols, sq_vals = [], [], []
-        for e, nid in enumerate(idx.supply_ids):
-            sq_rows.append(srow_of[pos[nid]] * N + t)
-            sq_cols.append(idx.base("qs") + e * N + t)
-            sq_vals.append(self.eta_s[e])
-        self.SQ_rows = np.concatenate(sq_rows) if sq_rows else np.zeros(0, dtype=int)
-        self.SQ_cols = np.concatenate(sq_cols) if sq_cols else np.zeros(0, dtype=int)
-        self.SQ_vals = np.concatenate(sq_vals) if sq_vals else np.zeros(0)
-        self.n_species_rows = len(species_set) * N
-
-        # --- concentration definition --------------------------------------
-        ents_node = np.arange(n_nodes)
-        self.G_eta = _cols(idx, "eta", ents_node, t)
-        self.G_rh = _cols(idx, "rho_h2", ents_node, t)
-        self.G_rn = _cols(idx, "rho_ng", ents_node, t)
-
-        # --- slack pressure -------------------------------------------------
-        slack_pos = np.array([pos[nid] for nid in self.segnet.original.slack_ids
-                              if nid in pos], dtype=int)
-        self.slack_pos = slack_pos
-        self.K_rh = _cols(idx, "rho_h2", slack_pos, t)
-        self.K_rn = _cols(idx, "rho_ng", slack_pos, t)
-        self.K_p = np.repeat(np.array(
-            [node_by_id[nid].p_slack / sc.p0 for nid in self.segnet.original.slack_ids]), N)
-
-        # --- energy ----------------------------------------------------------
-        wd_pos = np.array([pos[nid] for nid in idx.withdrawal_ids], dtype=int)
-        ents_wd = np.arange(len(idx.withdrawal_ids))
-        self.E_ge = _cols(idx, "ge", ents_wd, t) if len(ents_wd) else np.zeros(0, dtype=int)
-        self.E_eta = _cols(idx, "eta", wd_pos, t) if len(ents_wd) else np.zeros(0, dtype=int)
-        self.E_qw = _cols(idx, "qw", ents_wd, t) if len(ents_wd) else np.zeros(0, dtype=int)
-
-        # --- pressure bounds (inequalities) ---------------------------------
-        slack_set = set(slack_pos.tolist())
-        nons = np.array([k for k in range(n_nodes) if k not in slack_set], dtype=int)
-        self.press_pos = nons
-        self.P_rh = _cols(idx, "rho_h2", nons, t)
-        self.P_rn = _cols(idx, "rho_ng", nons, t)
-        self.ineq_lb = np.repeat(np.array([nodes[k].p_min / sc.p0 for k in nons]), N)
-        self.ineq_ub = np.repeat(np.array([nodes[k].p_max / sc.p0 for k in nons]), N)
-
-        # row offsets
-        sizes = [nseg * N, nseg * N, nseg * N, ncomp * N, self.n_balance_rows,
-                 self.n_species_rows, n_nodes * N, len(slack_pos) * N,
-                 len(ents_wd) * N]
-        self.family_sizes = sizes
+        # --- equality rows --------------------------------------------------
         self.family_names = ["continuity_h2", "continuity_ng", "momentum",
                              "compressor_boost", "mass_balance", "species_balance",
                              "concentration", "slack_pressure", "energy"]
-        self.row_offset = np.concatenate([[0], np.cumsum(sizes)])
+        family_entities = [E, E, E, C, all_nodes, self.species_nodes, all_nodes,
+                           self.slack_pos, W]
+        self.family_sizes = [len(ents) * N for ents in family_entities]
+        self.row_offset = np.concatenate([[0], np.cumsum(self.family_sizes)])
         self.n_eq = int(self.row_offset[-1])
-        self.n_ineq = len(self.P_rh)
+        first_row = dict(zip(self.family_names, self.row_offset))
+
+        def rows(family, ents):
+            """Row indices of a family's entities x time steps (entity-major)."""
+            return first_row[family] + (ents[:, None] * N + t).ravel()
+
+        def col(quantity, ents, times=t):
+            """Variable indices of entities x time steps (entity-major)."""
+            return (idx.base(quantity) + ents[:, None] * N + times).ravel()
+
+        # Every residual term except friction and boost is linear,
+        # coef * x[p], or bilinear, coef * x[p] * x[q]; each is listed once.
+        terms = {1: [], 2: []}
+
+        def term(r, coef, *cols):
+            terms[len(cols)].append(
+                (r, *cols, np.broadcast_to(np.asarray(coef, dtype=float), r.shape)))
+
+        # continuity: storage rate S/(2 dt) * (rho_i+ + rho_j+ - rho_i - rho_j)
+        # plus the species flux eta_j*fl - eta_i*f0 (NG: (1-eta) for eta)
+        rate = np.repeat(self.seg_storage, N) / (2.0 * self.dt_seconds)
+        for family, rho, sign in (("continuity_h2", "rho_h2", 1.0),
+                                  ("continuity_ng", "rho_ng", -1.0)):
+            r = rows(family, E)
+            for node_k, times, s in ((seg_i, tp, 1.0), (seg_j, tp, 1.0),
+                                     (seg_i, t, -1.0), (seg_j, t, -1.0)):
+                term(r, s * rate, col(rho, node_k, times))
+            term(r, sign, col("eta", seg_j), col("fl", E))
+            term(r, -sign, col("eta", seg_i), col("f0", E))
+        r = rows("continuity_ng", E)
+        term(r, 1.0, col("fl", E))
+        term(r, -1.0, col("f0", E))
+        # momentum: pressure difference p_j - p_i (friction is added on evaluation)
+        r = rows("momentum", E)
+        for rho, coef in (("rho_h2", self.c_h2), ("rho_ng", self.c_ng)):
+            term(r, coef, col(rho, seg_j))
+            term(r, -coef, col(rho, seg_i))
+        # total mass balance: inflows minus outflows
+        for node_k, flow, ents, sign in ((seg_j, "fl", E, 1.0), (seg_i, "f0", E, -1.0),
+                                         (com_j, "fc", C, 1.0), (com_i, "fc", C, -1.0),
+                                         (sup_pos, "qs", S, 1.0), (wd_pos, "qw", W, -1.0)):
+            term(rows("mass_balance", node_k), sign, col(flow, ents))
+        # species balance: eta * flow per incident flow; a compressor outlet
+        # carries its inlet node's concentration; supplies bring eta_s * qs
+        for node_k, eta_k, flow, ents, sign in (
+                (seg_j, seg_j, "fl", E, 1.0), (seg_i, seg_i, "f0", E, -1.0),
+                (com_j, com_i, "fc", C, 1.0), (com_i, com_i, "fc", C, -1.0),
+                (wd_pos, wd_pos, "qw", W, -1.0)):
+            keep = species_row[node_k] >= 0
+            term(rows("species_balance", species_row[node_k[keep]]), sign,
+                 col("eta", eta_k[keep]), col(flow, ents[keep]))
+        term(rows("species_balance", species_row[sup_pos]), self.eta_s.ravel(),
+             col("qs", S))
+        # concentration definition: eta * (rho_h2 + rho_ng) - rho_h2
+        r = rows("concentration", all_nodes)
+        term(r, 1.0, col("eta", all_nodes), col("rho_h2", all_nodes))
+        term(r, 1.0, col("eta", all_nodes), col("rho_ng", all_nodes))
+        term(r, -1.0, col("rho_h2", all_nodes))
+        # slack pressure: c_h2 rho_h2 + c_ng rho_ng = p_slack (the right-hand side)
+        r = rows("slack_pressure", np.arange(len(self.slack_pos)))
+        term(r, self.c_h2, col("rho_h2", self.slack_pos))
+        term(r, self.c_ng, col("rho_ng", self.slack_pos))
+        self.K_p = np.repeat(np.array(
+            [node_by_id[nid].p_slack / sc.p0 for nid in self.segnet.original.slack_ids]), N)
+        self.rhs = np.zeros(self.n_eq)
+        self.rhs[r] = self.K_p
+        # withdrawal energy: g_E - q_w - (r - 1) * eta * q_w
+        r = rows("energy", W)
+        term(r, 1.0, col("ge", W))
+        term(r, -1.0, col("qw", W))
+        term(r, -(self.heat_ratio - 1.0), col("eta", wd_pos), col("qw", W))
+
+        lin_r, lin_c, lin_v = (np.concatenate(a) for a in zip(*terms[1]))
+        self.A = sp.csr_matrix((lin_v, (lin_r, lin_c)), shape=(self.n_eq, n))
+        self.bil_r, self.bil_p, self.bil_q, self.bil_v = (
+            np.concatenate(a) for a in zip(*terms[2]))
+
+        # nonlinear rows: friction on [rho_h2_i, rho_ng_i, rho_h2_j, rho_ng_j, f0, fl]
+        # and boost on [rho_h2_i, rho_ng_i, rho_h2_j, rho_ng_j, alpha]
+        self.mom_cols = np.stack([col("rho_h2", seg_i), col("rho_ng", seg_i),
+                                  col("rho_h2", seg_j), col("rho_ng", seg_j),
+                                  col("f0", E), col("fl", E)], axis=1)
+        # d(phi_bar) and d(rho_bar) along mom_cols
+        self.mom_dphi = np.zeros(self.mom_cols.shape)
+        self.mom_dphi[:, 4:] = 0.5 / self.seg_Ah[:, None]
+        self.mom_drho = np.zeros(self.mom_cols.shape)
+        self.mom_drho[:, :4] = 0.5
+        self.C_alpha = col("alpha", C)
+        self.C_fc = col("fc", C)
+        self.boost_cols = np.stack([col("rho_h2", com_i), col("rho_ng", com_i),
+                                    col("rho_h2", com_j), col("rho_ng", com_j),
+                                    self.C_alpha], axis=1)
+        self.mom_rows = slice(first_row["momentum"], first_row["compressor_boost"])
+        self.boost_rows = slice(first_row["compressor_boost"], first_row["mass_balance"])
+
+        # Fixed Jacobian pattern.  jac_const holds the linear coefficients on
+        # it; jac_slot maps each variable entry, in the order eq_jacobian
+        # lists their values, to its place in the pattern.
+        jac_r = np.concatenate([lin_r, self.bil_r, self.bil_r,
+                                np.repeat(rows("momentum", E), 6),
+                                np.repeat(rows("compressor_boost", C), 5)])
+        jac_c = np.concatenate([lin_c, self.bil_p, self.bil_q,
+                                self.mom_cols.ravel(), self.boost_cols.ravel()])
+        keys, slot = np.unique(jac_r * n + jac_c, return_inverse=True)
+        self.jac_slot = slot[len(lin_r):]
+        self.jac_const = sp.csr_matrix(
+            (np.bincount(slot[:len(lin_r)], weights=lin_v, minlength=len(keys)),
+             keys % n, np.searchsorted(keys // n, np.arange(self.n_eq + 1))),
+            shape=(self.n_eq, n))
+
+        # --- pressure bounds (inequalities) ---------------------------------
+        r = np.arange(len(self.press_pos) * N)
+        self.P = sp.csr_matrix(
+            (np.repeat([self.c_h2, self.c_ng], len(r)),
+             (np.tile(r, 2), np.concatenate([col("rho_h2", self.press_pos),
+                                             col("rho_ng", self.press_pos)]))),
+            shape=(len(r), n))
+        self.n_ineq = len(r)
+        self.ineq_lb = np.repeat(np.array([nodes[k].p_min / sc.p0 for k in self.press_pos]), N)
+        self.ineq_ub = np.repeat(np.array([nodes[k].p_max / sc.p0 for k in self.press_pos]), N)
 
         # --- objective -------------------------------------------------------
         xi = scn.xi
@@ -369,8 +370,7 @@ class NlpProblem:
         wc_coef = (1.0 - xi) * scn.zeta * dt_h * K_work * self.flow0 / 1000.0
         raw = max(abs(ge_coef), qs_coef.max(initial=0.0), wc_coef, 1e-30)
         self.obj_scale = 1.0 / raw
-        self.obj_qs_cols = _cols(idx, "qs", np.arange(len(idx.supply_ids)), t) \
-            if idx.supply_ids else np.zeros(0, dtype=int)
+        self.obj_qs_cols = col("qs", S)
         self.obj_qs_coef = qs_coef.ravel() * self.obj_scale
         self.obj_ge_coef = ge_coef * self.obj_scale
         self.obj_wc = wc_coef * self.obj_scale
@@ -382,157 +382,58 @@ class NlpProblem:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _smooth_abs(self, phi):
-        return np.sqrt(phi * phi + self.smoothing_eps ** 2)
+    def _friction(self, x):
+        """Mean flux, its smoothed magnitude and mean density per momentum row."""
+        xm = x[self.mom_cols]
+        rho_bar = 0.5 * (xm[:, 0] + xm[:, 1] + xm[:, 2] + xm[:, 3])
+        phi = (xm[:, 4] + xm[:, 5]) / (2.0 * self.seg_Ah)
+        return phi, np.sqrt(phi * phi + self.smoothing_eps ** 2), rho_bar
+
+    def _boost(self, x):
+        """Inlet pressure, outlet pressure and ratio per boost row."""
+        xb = x[self.boost_cols]
+        return (self.c_h2 * xb[:, 0] + self.c_ng * xb[:, 1],
+                self.c_h2 * xb[:, 2] + self.c_ng * xb[:, 3], xb[:, 4])
 
     def eq_constraints(self, x: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.n_eq)
-        off = self.row_offset
-        dt2 = 2.0 * self.dt_seconds
-        # continuity
-        rate_h2 = (x[self.F1_rh_i_p] + x[self.F1_rh_j_p]
-                   - x[self.F1_rh_i] - x[self.F1_rh_j]) / dt2
-        rate_ng = (x[self.F2_rn_i_p] + x[self.F2_rn_j_p]
-                   - x[self.F2_rn_i] - x[self.F2_rn_j]) / dt2
-        eta_i, eta_j = x[self.F_eta_i], x[self.F_eta_j]
-        f0, fl = x[self.F_f0], x[self.F_fl]
-        out[off[0]:off[1]] = self.seg_S * rate_h2 + (eta_j * fl - eta_i * f0)
-        out[off[1]:off[2]] = self.seg_S * rate_ng + ((1.0 - eta_j) * fl
-                                                     - (1.0 - eta_i) * f0)
-        # momentum
-        p_i = self.c_h2 * x[self.F1_rh_i] + self.c_ng * x[self.F2_rn_i]
-        p_j = self.c_h2 * x[self.F1_rh_j] + self.c_ng * x[self.F2_rn_j]
-        rho_bar = 0.5 * (x[self.F1_rh_i] + x[self.F2_rn_i]
-                         + x[self.F1_rh_j] + x[self.F2_rn_j])
-        phi_bar = (f0 + fl) / (2.0 * self.seg_Ah)
-        out[off[2]:off[3]] = p_j - p_i + self.seg_B * phi_bar * self._smooth_abs(phi_bar) / rho_bar
-        # compressor boost
-        cp_i = self.c_h2 * x[self.C_rh_i] + self.c_ng * x[self.C_rn_i]
-        cp_j = self.c_h2 * x[self.C_rh_j] + self.c_ng * x[self.C_rn_j]
-        out[off[3]:off[4]] = cp_j ** 2 - x[self.C_alpha] ** 2 * cp_i ** 2
-        # total balance
-        bal = np.zeros(self.n_balance_rows)
-        np.add.at(bal, self.B_rows, self.B_vals * x[self.B_cols])
-        out[off[4]:off[5]] = bal
-        # species balance
-        spc = np.zeros(self.n_species_rows)
-        np.add.at(spc, self.S_rows, self.S_sign * x[self.S_eta] * x[self.S_f])
-        np.add.at(spc, self.SQ_rows, self.SQ_vals * x[self.SQ_cols])
-        out[off[5]:off[6]] = spc
-        # concentration definition
-        out[off[6]:off[7]] = x[self.G_eta] * (x[self.G_rh] + x[self.G_rn]) - x[self.G_rh]
-        # slack pressure
-        out[off[7]:off[8]] = (self.c_h2 * x[self.K_rh] + self.c_ng * x[self.K_rn]
-                              - self.K_p)
-        # energy
-        out[off[8]:off[9]] = x[self.E_ge] - ((self.heat_ratio - 1.0) * x[self.E_eta]
-                                             + 1.0) * x[self.E_qw]
+        out = self.A @ x - self.rhs + np.bincount(
+            self.bil_r, weights=self.bil_v * x[self.bil_p] * x[self.bil_q],
+            minlength=self.n_eq)
+        phi, s_abs, rho_bar = self._friction(x)
+        out[self.mom_rows] += self.seg_B * phi * s_abs / rho_bar
+        cp_i, cp_j, alpha = self._boost(x)
+        out[self.boost_rows] += cp_j ** 2 - alpha ** 2 * cp_i ** 2
         return out
 
     def ineq_constraints(self, x: np.ndarray) -> np.ndarray:
-        return self.c_h2 * x[self.P_rh] + self.c_ng * x[self.P_rn]
+        return self.P @ x
 
     def eq_jacobian(self, x: np.ndarray) -> sp.csr_matrix:
-        rows, cols, vals = self._eq_jacobian_triplets(x)
-        return sp.csr_matrix((vals, (rows, cols)), shape=(self.n_eq, self.index.total))
-
-    def _eq_jacobian_triplets(self, x):
-        off = self.row_offset
-        dt2 = 2.0 * self.dt_seconds
-        nsegN = len(self.F_f0)
-        r1 = np.arange(off[0], off[1])
-        r2 = np.arange(off[1], off[2])
-        r3 = np.arange(off[2], off[3])
-        rows, cols, vals = [], [], []
-
-        def add(r, c, v):
-            rows.append(r)
-            cols.append(c)
-            vals.append(np.broadcast_to(v, r.shape).astype(float, copy=False))
-
-        Sdt = self.seg_S / dt2
-        eta_i, eta_j = x[self.F_eta_i], x[self.F_eta_j]
-        f0, fl = x[self.F_f0], x[self.F_fl]
-        # H2 continuity
-        add(r1, self.F1_rh_i_p, Sdt)
-        add(r1, self.F1_rh_j_p, Sdt)
-        add(r1, self.F1_rh_i, -Sdt)
-        add(r1, self.F1_rh_j, -Sdt)
-        add(r1, self.F_eta_j, fl)
-        add(r1, self.F_fl, eta_j)
-        add(r1, self.F_eta_i, -f0)
-        add(r1, self.F_f0, -eta_i)
-        # NG continuity
-        add(r2, self.F2_rn_i_p, Sdt)
-        add(r2, self.F2_rn_j_p, Sdt)
-        add(r2, self.F2_rn_i, -Sdt)
-        add(r2, self.F2_rn_j, -Sdt)
-        add(r2, self.F_eta_j, -fl)
-        add(r2, self.F_fl, 1.0 - eta_j)
-        add(r2, self.F_eta_i, f0)
-        add(r2, self.F_f0, -(1.0 - eta_i))
-        # momentum
-        rho_bar = 0.5 * (x[self.F1_rh_i] + x[self.F2_rn_i]
-                         + x[self.F1_rh_j] + x[self.F2_rn_j])
-        phi_bar = (f0 + fl) / (2.0 * self.seg_Ah)
-        s_abs = self._smooth_abs(phi_bar)
-        g_phi = self.seg_B * (s_abs + phi_bar ** 2 / s_abs) / rho_bar
-        g_rho = -self.seg_B * phi_bar * s_abs / rho_bar ** 2
-        add(r3, self.F_f0, g_phi / (2.0 * self.seg_Ah))
-        add(r3, self.F_fl, g_phi / (2.0 * self.seg_Ah))
-        add(r3, self.F1_rh_i, -self.c_h2 + 0.5 * g_rho)
-        add(r3, self.F2_rn_i, -self.c_ng + 0.5 * g_rho)
-        add(r3, self.F1_rh_j, self.c_h2 + 0.5 * g_rho)
-        add(r3, self.F2_rn_j, self.c_ng + 0.5 * g_rho)
-        # compressor boost
-        r4 = np.arange(off[3], off[4])
-        cp_i = self.c_h2 * x[self.C_rh_i] + self.c_ng * x[self.C_rn_i]
-        cp_j = self.c_h2 * x[self.C_rh_j] + self.c_ng * x[self.C_rn_j]
-        alpha = x[self.C_alpha]
-        add(r4, self.C_rh_j, 2.0 * cp_j * self.c_h2)
-        add(r4, self.C_rn_j, 2.0 * cp_j * self.c_ng)
-        add(r4, self.C_rh_i, -2.0 * alpha ** 2 * cp_i * self.c_h2)
-        add(r4, self.C_rn_i, -2.0 * alpha ** 2 * cp_i * self.c_ng)
-        add(r4, self.C_alpha, -2.0 * alpha * cp_i ** 2)
-        # total balance (constant)
-        add(off[4] + self.B_rows, self.B_cols, self.B_vals)
-        # species balance
-        add(off[5] + self.S_rows, self.S_f, self.S_sign * x[self.S_eta])
-        add(off[5] + self.S_rows, self.S_eta, self.S_sign * x[self.S_f])
-        add(off[5] + self.SQ_rows, self.SQ_cols, self.SQ_vals)
-        # concentration
-        r7 = np.arange(off[6], off[7])
-        add(r7, self.G_eta, x[self.G_rh] + x[self.G_rn])
-        add(r7, self.G_rh, x[self.G_eta] - 1.0)
-        add(r7, self.G_rn, x[self.G_eta])
-        # slack pressure
-        r8 = np.arange(off[7], off[8])
-        add(r8, self.K_rh, self.c_h2)
-        add(r8, self.K_rn, self.c_ng)
-        # energy
-        r9 = np.arange(off[8], off[9])
-        if len(r9):
-            add(r9, self.E_ge, 1.0)
-            add(r9, self.E_eta, -(self.heat_ratio - 1.0) * x[self.E_qw])
-            add(r9, self.E_qw, -((self.heat_ratio - 1.0) * x[self.E_eta] + 1.0))
-        return (np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
+        """Linear coefficients plus, per bilinear term, coef * x[q] in
+        column p and coef * x[p] in column q, plus friction and boost."""
+        phi, s_abs, rho_bar = self._friction(x)
+        g_phi = self.seg_B * (s_abs + phi ** 2 / s_abs) / rho_bar
+        g_rho = -self.seg_B * phi * s_abs / rho_bar ** 2
+        cp_i, cp_j, alpha = self._boost(x)
+        d_boost = np.stack([-2.0 * alpha ** 2 * cp_i * self.c_h2,
+                            -2.0 * alpha ** 2 * cp_i * self.c_ng,
+                            2.0 * cp_j * self.c_h2, 2.0 * cp_j * self.c_ng,
+                            -2.0 * alpha * cp_i ** 2], axis=1)
+        vals = np.concatenate([
+            self.bil_v * x[self.bil_q], self.bil_v * x[self.bil_p],
+            (g_phi[:, None] * self.mom_dphi + g_rho[:, None] * self.mom_drho).ravel(),
+            d_boost.ravel()])
+        J = self.jac_const.copy()
+        J.data += np.bincount(self.jac_slot, weights=vals, minlength=J.nnz)
+        return J
 
     def ineq_jacobian(self, x: np.ndarray) -> sp.csr_matrix:
-        r = np.arange(self.n_ineq)
-        rows = np.concatenate([r, r])
-        cols = np.concatenate([self.P_rh, self.P_rn])
-        vals = np.concatenate([np.full(self.n_ineq, self.c_h2),
-                               np.full(self.n_ineq, self.c_ng)])
-        return sp.csr_matrix((vals, (rows, cols)), shape=(self.n_ineq, self.index.total))
+        return self.P.copy()
 
     def jacobian_sparsity(self):
         """Row/col pattern of the stacked (equality; inequality) Jacobian."""
-        x = np.where(np.isfinite(self.lb), np.maximum(self.lb, 0.5), 0.5)
-        x = np.where(np.isfinite(self.ub), np.minimum(x, self.ub), x)
-        rows, cols, _ = self._eq_jacobian_triplets(x + 1e-3)
-        ji = self.ineq_jacobian(x).tocoo()
-        return (np.concatenate([rows, self.n_eq + ji.row]),
-                np.concatenate([cols, ji.col]))
+        pattern = sp.vstack([self.jac_const, self.P]).tocoo()
+        return pattern.row, pattern.col
 
     # -- objective ----------------------------------------------------------
 
@@ -579,7 +480,6 @@ class NlpProblem:
 
         Inequality rows are linear, so their multipliers never contribute.
         """
-        off = self.row_offset
         rows, cols, vals = [], [], []
 
         def addsym(i, j, v):
@@ -591,72 +491,44 @@ class NlpProblem:
             cols.append(np.where(same, j, i))
             vals.append(np.where(same, 0.0, v))
 
-        lam1 = lam_eq[off[0]:off[1]]
-        lam2 = lam_eq[off[1]:off[2]]
-        # continuity bilinear terms
-        addsym(self.F_eta_j, self.F_fl, lam1 - lam2)
-        addsym(self.F_eta_i, self.F_f0, -lam1 + lam2)
-        # momentum blocks
-        lam3 = lam_eq[off[2]:off[3]]
-        rho_bar = 0.5 * (x[self.F1_rh_i] + x[self.F2_rn_i]
-                         + x[self.F1_rh_j] + x[self.F2_rn_j])
-        phi_bar = (x[self.F_f0] + x[self.F_fl]) / (2.0 * self.seg_Ah)
-        s_abs = self._smooth_abs(phi_bar)
-        gpp = self.seg_B * (3.0 * phi_bar / s_abs - phi_bar ** 3 / s_abs ** 3) / rho_bar
-        gpr = -self.seg_B * (s_abs + phi_bar ** 2 / s_abs) / rho_bar ** 2
-        grr = 2.0 * self.seg_B * phi_bar * s_abs / rho_bar ** 3
-        m = len(phi_bar)
-        vars6 = np.stack([self.F1_rh_i, self.F2_rn_i, self.F1_rh_j, self.F2_rn_j,
-                          self.F_f0, self.F_fl], axis=1)
-        u = np.zeros((m, 6))
-        u[:, 4] = u[:, 5] = 1.0
-        u[:, 4:] /= (2.0 * self.seg_Ah)[:, None]
-        w = np.zeros((m, 6))
-        w[:, :4] = 0.5
+        # bilinear terms: lam[row] * coef at (p, q)
+        addsym(self.bil_p, self.bil_q, lam_eq[self.bil_r] * self.bil_v)
+        # friction blocks
+        lam3 = lam_eq[self.mom_rows]
+        phi, s_abs, rho_bar = self._friction(x)
+        gpp = self.seg_B * (3.0 * phi / s_abs - phi ** 3 / s_abs ** 3) / rho_bar
+        gpr = -self.seg_B * (s_abs + phi ** 2 / s_abs) / rho_bar ** 2
+        grr = 2.0 * self.seg_B * phi * s_abs / rho_bar ** 3
+        u, w = self.mom_dphi, self.mom_drho
         block = (gpp[:, None, None] * u[:, :, None] * u[:, None, :]
                  + gpr[:, None, None] * (u[:, :, None] * w[:, None, :]
                                          + w[:, :, None] * u[:, None, :])
                  + grr[:, None, None] * w[:, :, None] * w[:, None, :])
         block *= lam3[:, None, None]
-        rows.append(np.broadcast_to(vars6[:, :, None], (m, 6, 6)).ravel())
-        cols.append(np.broadcast_to(vars6[:, None, :], (m, 6, 6)).ravel())
+        shape = block.shape
+        rows.append(np.broadcast_to(self.mom_cols[:, :, None], shape).ravel())
+        cols.append(np.broadcast_to(self.mom_cols[:, None, :], shape).ravel())
         vals.append(block.ravel())
         # compressor boost blocks
-        lam4 = lam_eq[off[3]:off[4]]
-        if len(lam4):
-            alpha = x[self.C_alpha]
-            cp_i = self.c_h2 * x[self.C_rh_i] + self.c_ng * x[self.C_rn_i]
-            cH, cN = self.c_h2, self.c_ng
-            addsym(self.C_rh_j, self.C_rh_j, lam4 * 2.0 * cH * cH)
-            addsym(self.C_rh_j, self.C_rn_j, lam4 * 2.0 * cH * cN)
-            addsym(self.C_rn_j, self.C_rn_j, lam4 * 2.0 * cN * cN)
-            a2 = alpha ** 2
-            addsym(self.C_rh_i, self.C_rh_i, -lam4 * 2.0 * a2 * cH * cH)
-            addsym(self.C_rh_i, self.C_rn_i, -lam4 * 2.0 * a2 * cH * cN)
-            addsym(self.C_rn_i, self.C_rn_i, -lam4 * 2.0 * a2 * cN * cN)
-            addsym(self.C_alpha, self.C_rh_i, -lam4 * 4.0 * alpha * cp_i * cH)
-            addsym(self.C_alpha, self.C_rn_i, -lam4 * 4.0 * alpha * cp_i * cN)
-            addsym(self.C_alpha, self.C_alpha, -lam4 * 2.0 * cp_i ** 2)
-        # species balance bilinear terms
-        lam6 = lam_eq[off[5]:off[6]]
-        if len(self.S_rows):
-            lam_term = lam6[self.S_rows] * self.S_sign
-            addsym(self.S_eta, self.S_f, lam_term)
-        # concentration definition
-        lam7 = lam_eq[off[6]:off[7]]
-        addsym(self.G_eta, self.G_rh, lam7)
-        addsym(self.G_eta, self.G_rn, lam7)
-        # energy
-        lam9 = lam_eq[off[8]:off[9]]
-        if len(lam9):
-            addsym(self.E_eta, self.E_qw, -lam9 * (self.heat_ratio - 1.0))
+        lam4 = lam_eq[self.boost_rows]
+        cp_i, _, alpha = self._boost(x)
+        rh_i, rn_i, rh_j, rn_j, a = self.boost_cols.T
+        cH, cN = self.c_h2, self.c_ng
+        addsym(rh_j, rh_j, lam4 * 2.0 * cH * cH)
+        addsym(rh_j, rn_j, lam4 * 2.0 * cH * cN)
+        addsym(rn_j, rn_j, lam4 * 2.0 * cN * cN)
+        a2 = alpha ** 2
+        addsym(rh_i, rh_i, -lam4 * 2.0 * a2 * cH * cH)
+        addsym(rh_i, rn_i, -lam4 * 2.0 * a2 * cH * cN)
+        addsym(rn_i, rn_i, -lam4 * 2.0 * a2 * cN * cN)
+        addsym(a, rh_i, -lam4 * 4.0 * alpha * cp_i * cH)
+        addsym(a, rn_i, -lam4 * 4.0 * alpha * cp_i * cN)
+        addsym(a, a, -lam4 * 2.0 * cp_i ** 2)
         # objective curvature
-        if len(self.C_alpha):
-            alpha = x[self.C_alpha]
-            fc = x[self.C_fc]
-            sq = np.sqrt(alpha)
-            addsym(self.C_fc, self.C_alpha, self.obj_wc / (2.0 * sq))
-            addsym(self.C_alpha, self.C_alpha, -self.obj_wc * fc / (4.0 * alpha * sq))
+        fc = x[self.C_fc]
+        sq = np.sqrt(alpha)
+        addsym(self.C_fc, a, self.obj_wc / (2.0 * sq))
+        addsym(a, a, -self.obj_wc * fc / (4.0 * alpha * sq))
         n = self.index.total
         return sp.csr_matrix((np.concatenate(vals),
                               (np.concatenate(rows), np.concatenate(cols))),

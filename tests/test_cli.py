@@ -41,6 +41,14 @@ class TestArgumentsAndExitCodes:
         assert run_cli("--network", net_path, "--scenario", scn_path) == 2
         assert "pipes['P1']: D must be a number" in capsys.readouterr().err
 
+    def test_wrong_shape(self, case_files, capsys):
+        net_path, scn_path = case_files
+        doc = copy.deepcopy(LINE_NETWORK_DOC)
+        doc["nodes"].append(5)
+        net_path.write_text(json.dumps(doc))
+        assert run_cli("--network", net_path, "--scenario", scn_path) == 2
+        assert "nodes[2]: must be an object, got int" in capsys.readouterr().err
+
     def test_bad_topology(self, tmp_path, case_files):
         net_path, scn_path = case_files
         doc = copy.deepcopy(LINE_NETWORK_DOC)

@@ -113,6 +113,29 @@ class TestParseNetwork:
         with pytest.raises(ParseError, match=message):
             parse(d)
 
+    @pytest.mark.parametrize("parse, document, mutate, message", [
+        (parse_network, LINE_NETWORK_DOC, lambda d: d["nodes"].append(5),
+         r"nodes\[2\]: must be an object, got int"),
+        (parse_network, LINE_NETWORK_DOC, lambda d: d["pipes"].insert(0, "P1"),
+         r"pipes\[0\]: must be an object, got str"),
+        (parse_network, LINE_NETWORK_DOC, lambda d: d.update(nodes={"id": "N1"}),
+         r"nodes: must be an array, got dict"),
+        (parse_scenario, SHORT_SCENARIO_DOC, lambda d: d.update(profiles=[]),
+         r"scenario.profiles: must be an object, got list"),
+        (parse_scenario, SHORT_SCENARIO_DOC, lambda d: d.update(profiles={"N1": 0.1}),
+         r"profiles\['N1'\]: must be an object, got float"),
+        (parse_scenario, SHORT_SCENARIO_DOC, lambda d: d.update(prices=5),
+         r"scenario.prices: must be an object, got int"),
+        (parse_scenario, SHORT_SCENARIO_DOC, lambda d: d.update(gas="x"),
+         r"scenario.gas: must be an object, got str"),
+    ])
+    def test_wrong_shape_names_its_location(self, parse, document, mutate,
+                                            message):
+        d = copy.deepcopy(document)
+        mutate(d)
+        with pytest.raises(ParseError, match=message):
+            parse(d)
+
     def test_load_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -200,6 +223,10 @@ class TestProfiles:
                        values=(0.1, 0.2, 0.05))
         out = prof.evaluate([0.0, 5.9, 6.0, 11.0, 20.0], 24.0)
         assert list(out) == [0.1, 0.1, 0.2, 0.2, 0.05]
+        # periodic: before the first sample the last value holds
+        prof = Profile(kind="series", times=(6.0, 12.0), values=(0.1, 0.2))
+        out = prof.evaluate([0.0, 5.9, 6.0, 11.0, 12.0, 23.0], 24.0)
+        assert list(out) == [0.2, 0.2, 0.1, 0.1, 0.2, 0.2]
 
     def test_constant(self):
         prof = Profile(kind="constant", eta0=0.07)

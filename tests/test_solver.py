@@ -172,9 +172,9 @@ class TestOneEvaluationPerIterate:
             calls["eq_jacobian"] += 1
             return eq_jacobian(self, x)
 
-        def counted_restore(self, y, mu):
+        def counted_restore(self, y, ev, mu):
             calls["restore"] += 1
-            return restore(self, y, mu)
+            return restore(self, y, ev, mu)
 
         monkeypatch.setattr(NlpProblem, "eq_jacobian", counted_eq_jacobian)
         monkeypatch.setattr(_InteriorPoint, "_restore", counted_restore)
@@ -200,6 +200,29 @@ class TestOneEvaluationPerIterate:
         result, _, _ = solve_transient(segnet, scenario, options, steady=steady)
         assert result.status == "iteration-limit"
         assert calls == {"eq_jacobian": result.iterations + 1, "restore": 0}
+
+
+    def test_restoration_evaluates_each_point_once(self, monkeypatch):
+        """A line case whose transient solve ends in restoration: the
+        Jacobian is never evaluated twice at the same point."""
+        points = []
+        eq_jacobian = NlpProblem.eq_jacobian
+
+        def recorded_eq_jacobian(self, x):
+            points.append(x.tobytes())
+            return eq_jacobian(self, x)
+
+        monkeypatch.setattr(NlpProblem, "eq_jacobian", recorded_eq_jacobian)
+        doc = copy.deepcopy(LINE_NETWORK_DOC)
+        doc["nodes"][1]["gE_max"] = 5000.0
+        scenario = short_scenario(profiles={
+            "N1": {"type": "sinusoid", "eta0": 0.1, "delta": 0.05}})
+        segnet = segment_pipes(parse_network(doc), scenario.dL)
+        result, _, _ = solve_transient(segnet, scenario)
+        assert (result.status, result.iterations) == ("infeasible", 26)
+        assert result.message == \
+            "restoration stalled at constraint violation 6.095e-02"
+        assert len(points) == len(set(points))
 
 
 class TestTransient:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import short_scenario
 from h2blend.cli import bundled_path
@@ -281,6 +282,17 @@ class TestStructure:
         assert p.ub[fc0] == pytest.approx(comp.fc_max / p.flow0)
         # flows are unbounded; the physics decides their sign
         assert np.all(np.isinf(p.lb[idx.base("f0"):idx.base("alpha")]))
+
+    def test_jacobian_pattern_is_fixed(self, small_problem):
+        p = small_problem
+        J1 = p.eq_jacobian(random_point(p, seed=1))
+        J2 = p.eq_jacobian(random_point(p, seed=2))
+        assert np.array_equal(J1.indptr, J2.indptr)
+        assert np.array_equal(J1.indices, J2.indices)
+        stacked = sp.vstack([J1, p.ineq_jacobian(random_point(p))]).tocoo()
+        rows, cols = p.jacobian_sparsity()
+        assert np.array_equal(rows, stacked.row)
+        assert np.array_equal(cols, stacked.col)
 
     def test_objective_matches_economics(self, small_problem):
         p = small_problem
