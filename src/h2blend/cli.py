@@ -24,7 +24,7 @@ from .network import (
 )
 from .solution import SolutionTrajectory, read_solution, write_solution
 from .solver import SolverOptions, solve_steady, solve_transient
-from .transcription import ConfigurationError
+from .transcription import AssemblyError, ConfigurationError
 from .validation import run_audits
 
 EXIT_OK = 0
@@ -90,12 +90,12 @@ def _load_inputs(args):
             raise ParseError(f"input file not found: {path}")
     net = load_network(network_path)
     scenario_doc = json.loads(scenario_path.read_text())
-    if args.dt is not None:
-        scenario_doc["dt_hours"] = args.dt
-    if args.dl is not None:
-        scenario_doc["segment_length_m"] = args.dl
-    if args.xi is not None:
-        scenario_doc["xi"] = args.xi
+    # parse_scenario reports a document that is not an object
+    if isinstance(scenario_doc, dict):
+        for key, value in (("dt_hours", args.dt), ("segment_length_m", args.dl),
+                           ("xi", args.xi)):
+            if value is not None:
+                scenario_doc[key] = value
     scenario = parse_scenario(scenario_doc)
     return net, scenario
 
@@ -202,7 +202,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return run(args)
-    except (ParseError, ConfigurationError) as exc:
+    except (ParseError, ConfigurationError, AssemblyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except Exception as exc:                 # pragma: no cover - safety net

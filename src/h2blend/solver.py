@@ -15,6 +15,10 @@ a Levenberg-Marquardt feasibility restoration as a fallback.
 Constraints, Jacobian and gradient are evaluated once per accepted
 iterate and shared by the KKT error, the KKT system and the line search;
 restoration starts from that evaluation and evaluates each point once.
+The Jacobian and the KKT matrix live on sparsity patterns fixed by their
+first evaluation: the KKT matrix is built on a fixed CSC pattern and
+refilled in place for every factorization attempt, and a Hessian or
+Jacobian whose pattern differs from the first is an error.
 """
 
 from __future__ import annotations
@@ -103,6 +107,8 @@ class _BarrierProblem:
         self._const_rows = sp.bmat(
             [[problem.ineq_jacobian(np.zeros(self.n_x)), -sp.identity(self.n_s, format="csr")],
              [fix_jac, None]], format="csr")
+        self._j_eq = None                    # first equality Jacobian (pattern)
+        self._j_pattern = None
 
     def split(self, y):
         return y[:self.n_x], y[self.n_x:]
@@ -113,10 +119,20 @@ class _BarrierProblem:
                                x[self.fix_idx] - self.fix_val])
 
     def jacobian(self, y) -> sp.csr_matrix:
-        x, _ = self.split(y)
-        j_eq = self.p.eq_jacobian(x)
-        j_eq.resize(self.p.n_eq, self.n_y)
-        return sp.vstack([j_eq, self._const_rows], format="csr")
+        """Equality rows then the constant rows, on a CSR pattern fixed by
+        the first equality Jacobian; each call returns new data."""
+        j_eq = self.p.eq_jacobian(y[:self.n_x])
+        if self._j_eq is None:
+            self._j_eq = j_eq
+            self._j_pattern = sp.csr_matrix(
+                (np.zeros(j_eq.nnz + self._const_rows.nnz),
+                 np.concatenate([j_eq.indices, self._const_rows.indices]),
+                 np.concatenate([j_eq.indptr, j_eq.nnz + self._const_rows.indptr[1:]])),
+                shape=(self.m, self.n_y))
+        _check_pattern(j_eq, self._j_eq, "equality Jacobian")
+        return sp.csr_matrix(
+            (np.concatenate([j_eq.data, self._const_rows.data]),
+             self._j_pattern.indices, self._j_pattern.indptr), shape=(self.m, self.n_y))
 
     def objective(self, y) -> float:
         return self.p.objective(y[:self.n_x])
@@ -127,9 +143,46 @@ class _BarrierProblem:
         return g
 
     def hessian(self, y, lam) -> sp.csr_matrix:
-        h = self.p.lagrangian_hessian(y[:self.n_x], lam[:self.p.n_eq])
-        h.resize(self.n_y, self.n_y)
-        return h
+        """Hessian of the Lagrangian in x (n_x x n_x); the slacks enter
+        linearly, so their rows and columns are zero."""
+        return self.p.lagrangian_hessian(y[:self.n_x], lam[:self.p.n_eq])
+
+
+def _check_pattern(a, first, what):
+    if not (np.array_equal(a.indptr, first.indptr)
+            and np.array_equal(a.indices, first.indices)):
+        raise ValueError(f"{what} changed its sparsity pattern")
+
+
+class _KktMatrix:
+    """KKT matrix [[W + diag(d), J^T], [J, -delta_c I]] on a CSC pattern
+    fixed by the first W and J; every build only writes values into it.
+    J comes from _BarrierProblem.jacobian, whose pattern is fixed.
+
+    ``slot`` maps, in order, W.data, the n diagonal entries d, J.data
+    (lower block), J.data again (upper block, J^T) and the m entries
+    -delta_c to their places in the pattern."""
+
+    def __init__(self, W, J):
+        m, n = J.shape
+        size = n + m
+        self.W = W
+        w_rows = np.repeat(np.arange(W.shape[0]), np.diff(W.indptr))
+        j_rows = n + np.repeat(np.arange(m), np.diff(J.indptr))
+        diag = np.arange(size)
+        rows = np.concatenate([w_rows, diag[:n], j_rows, J.indices, diag[n:]])
+        cols = np.concatenate([W.indices, diag[:n], J.indices, j_rows, diag[n:]])
+        keys, self.slot = np.unique(cols * size + rows, return_inverse=True)
+        self.pattern = sp.csc_matrix(
+            (np.zeros(len(keys)), keys % size,
+             np.searchsorted(keys // size, np.arange(size + 1))), shape=(size, size))
+
+    def build(self, W, J, d, delta_c):
+        _check_pattern(W, self.W, "Lagrangian Hessian")
+        data = np.bincount(self.slot, minlength=self.pattern.nnz, weights=np.concatenate(
+            [W.data, d, J.data, J.data, np.full(J.shape[0], -delta_c)]))
+        return sp.csc_matrix((data, self.pattern.indices, self.pattern.indptr),
+                             shape=self.pattern.shape)
 
 
 def _push_inside(y, L, U):
@@ -173,6 +226,7 @@ class _InteriorPoint:
         self.has_l = np.isfinite(bp.L)
         self.has_u = np.isfinite(bp.U)
         self.log_rows = []
+        self._kkt = None                     # _KktMatrix, from the first build
 
     def evaluate(self, y):
         """Constraints, Jacobian and objective gradient at y: (c, J, g)."""
@@ -231,10 +285,10 @@ class _InteriorPoint:
         # when constraint rows lose rank (zero-flow mixing degeneracy)
         delta_c = _REG_MIN * max(mu, 1e-20) ** 0.5
         attempts = 0
+        if self._kkt is None:
+            self._kkt = _KktMatrix(W, J)
         while True:
-            H = (W + sp.diags(sigma + delta_w)).tocsc()
-            K = sp.bmat([[H, J.T],
-                         [J, -delta_c * sp.identity(m)]], format="csc")
+            K = self._kkt.build(W, J, sigma + delta_w, delta_c)
             try:
                 lu = splu(K, permc_spec="COLAMD",
                           options=dict(SymmetricMode=True))
@@ -249,8 +303,9 @@ class _InteriorPoint:
                 lin_res = np.abs(K @ d - rhs).max(initial=0.0)
                 ok = lin_res <= 1e-7 * (np.abs(rhs).max(initial=0.0) + 1.0)
             if ok:
+                # curvature dy' H dy from the H block of K
                 dy = d[:n]
-                curv = float(dy @ (H @ dy))
+                curv = float(dy @ (K @ np.concatenate([dy, np.zeros(m)]))[:n])
                 ok = curv >= 1e-11 * float(dy @ dy)
                 singular = False
             if ok:

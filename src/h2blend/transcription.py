@@ -166,6 +166,9 @@ class NlpProblem:
                                for nid in idx.supply_ids]).reshape(-1, N)
         if np.any((self.eta_s < 0.0) | (self.eta_s > 1.0)):
             raise AssemblyError("supply concentration profile leaves [0, 1]")
+        for nid in scn.profiles:
+            if nid not in idx.supply_ids:
+                raise AssemblyError(f"profiles[{nid!r}]: not a supply node")
 
         # --- bounds --------------------------------------------------------
         n = idx.total
@@ -349,6 +352,31 @@ class NlpProblem:
              keys % n, np.searchsorted(keys // n, np.arange(self.n_eq + 1))),
             shape=(self.n_eq, n))
 
+        # Fixed Hessian pattern, both triangles.  Each second-derivative
+        # entry is listed once on the lower triangle, in the order
+        # lagrangian_hessian lists its values: bilinear terms, the lower
+        # half of each 6x6 friction block, boost, objective.  hess_slot maps
+        # those values, then the strictly lower ones again as their mirror
+        # image, into hess_pattern; both halves sum in the same order, so
+        # the result is exactly symmetric.
+        fric_r = np.repeat(self.mom_cols, 6, axis=1).ravel()
+        fric_c = np.tile(self.mom_cols, 6).ravel()
+        self.hess_fric = np.flatnonzero(fric_r >= fric_c)
+        rh_i, rn_i, rh_j, rn_j, a = self.boost_cols.T
+        hess_i, hess_j = (np.concatenate(v) for v in zip(
+            (self.bil_p, self.bil_q), (fric_r[self.hess_fric], fric_c[self.hess_fric]),
+            (rh_j, rh_j), (rh_j, rn_j), (rn_j, rn_j), (rh_i, rh_i), (rh_i, rn_i),
+            (rn_i, rn_i), (a, rh_i), (a, rn_i), (a, a), (self.C_fc, a), (a, a)))
+        hess_r, hess_c = np.maximum(hess_i, hess_j), np.minimum(hess_i, hess_j)
+        self.hess_mirror = np.flatnonzero(hess_r > hess_c)
+        keys, self.hess_slot = np.unique(
+            np.concatenate([hess_r * n + hess_c,
+                            hess_c[self.hess_mirror] * n + hess_r[self.hess_mirror]]),
+            return_inverse=True)
+        self.hess_pattern = sp.csr_matrix(
+            (np.zeros(len(keys)), keys % n, np.searchsorted(keys // n, np.arange(n + 1))),
+            shape=(n, n))
+
         # --- pressure bounds (inequalities) ---------------------------------
         r = np.arange(len(self.press_pos) * N)
         self.P = sp.csr_matrix(
@@ -479,20 +507,9 @@ class NlpProblem:
         """Symmetric Hessian H_f + sum lam_i * H_ci of the equality rows.
 
         Inequality rows are linear, so their multipliers never contribute.
+        The values are written into the pattern fixed at assembly, in the
+        order of ``hess_slot``.
         """
-        rows, cols, vals = [], [], []
-
-        def addsym(i, j, v):
-            rows.append(i)
-            cols.append(j)
-            vals.append(v)
-            same = i == j
-            rows.append(np.where(same, i, j))
-            cols.append(np.where(same, j, i))
-            vals.append(np.where(same, 0.0, v))
-
-        # bilinear terms: lam[row] * coef at (p, q)
-        addsym(self.bil_p, self.bil_q, lam_eq[self.bil_r] * self.bil_v)
         # friction blocks
         lam3 = lam_eq[self.mom_rows]
         phi, s_abs, rho_bar = self._friction(x)
@@ -505,34 +522,29 @@ class NlpProblem:
                                          + w[:, :, None] * u[:, None, :])
                  + grr[:, None, None] * w[:, :, None] * w[:, None, :])
         block *= lam3[:, None, None]
-        shape = block.shape
-        rows.append(np.broadcast_to(self.mom_cols[:, :, None], shape).ravel())
-        cols.append(np.broadcast_to(self.mom_cols[:, None, :], shape).ravel())
-        vals.append(block.ravel())
-        # compressor boost blocks
         lam4 = lam_eq[self.boost_rows]
         cp_i, _, alpha = self._boost(x)
-        rh_i, rn_i, rh_j, rn_j, a = self.boost_cols.T
         cH, cN = self.c_h2, self.c_ng
-        addsym(rh_j, rh_j, lam4 * 2.0 * cH * cH)
-        addsym(rh_j, rn_j, lam4 * 2.0 * cH * cN)
-        addsym(rn_j, rn_j, lam4 * 2.0 * cN * cN)
         a2 = alpha ** 2
-        addsym(rh_i, rh_i, -lam4 * 2.0 * a2 * cH * cH)
-        addsym(rh_i, rn_i, -lam4 * 2.0 * a2 * cH * cN)
-        addsym(rn_i, rn_i, -lam4 * 2.0 * a2 * cN * cN)
-        addsym(a, rh_i, -lam4 * 4.0 * alpha * cp_i * cH)
-        addsym(a, rn_i, -lam4 * 4.0 * alpha * cp_i * cN)
-        addsym(a, a, -lam4 * 2.0 * cp_i ** 2)
-        # objective curvature
         fc = x[self.C_fc]
         sq = np.sqrt(alpha)
-        addsym(self.C_fc, a, self.obj_wc / (2.0 * sq))
-        addsym(a, a, -self.obj_wc * fc / (4.0 * alpha * sq))
-        n = self.index.total
-        return sp.csr_matrix((np.concatenate(vals),
-                              (np.concatenate(rows), np.concatenate(cols))),
-                             shape=(n, n))
+        vals = np.concatenate([
+            lam_eq[self.bil_r] * self.bil_v,          # bilinear terms at (p, q)
+            block.ravel()[self.hess_fric],            # friction, lower half
+            # boost at outlet (rh_j, rh_j), (rh_j, rn_j), (rn_j, rn_j)
+            lam4 * 2.0 * cH * cH, lam4 * 2.0 * cH * cN, lam4 * 2.0 * cN * cN,
+            # boost at inlet (rh_i, rh_i), (rh_i, rn_i), (rn_i, rn_i)
+            -lam4 * 2.0 * a2 * cH * cH, -lam4 * 2.0 * a2 * cH * cN,
+            -lam4 * 2.0 * a2 * cN * cN,
+            # boost (alpha, rh_i), (alpha, rn_i), (alpha, alpha)
+            -lam4 * 4.0 * alpha * cp_i * cH, -lam4 * 4.0 * alpha * cp_i * cN,
+            -lam4 * 2.0 * cp_i ** 2,
+            # objective curvature (fc, alpha), (alpha, alpha)
+            self.obj_wc / (2.0 * sq), -self.obj_wc * fc / (4.0 * alpha * sq)])
+        H = self.hess_pattern.copy()
+        H.data = np.bincount(self.hess_slot, minlength=H.nnz,
+                             weights=np.concatenate([vals, vals[self.hess_mirror]]))
+        return H
 
     # -- bookkeeping --------------------------------------------------------
 

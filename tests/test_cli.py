@@ -49,6 +49,22 @@ class TestArgumentsAndExitCodes:
         assert run_cli("--network", net_path, "--scenario", scn_path) == 2
         assert "nodes[2]: must be an object, got int" in capsys.readouterr().err
 
+    def test_scenario_not_an_object_with_override(self, case_files, capsys):
+        net_path, scn_path = case_files
+        scn_path.write_text("[]")
+        assert run_cli("--network", net_path, "--scenario", scn_path,
+                       "--dt", 1.0) == 2
+        assert "scenario: must be an object, got list" in capsys.readouterr().err
+
+    def test_profile_of_an_unknown_node(self, tmp_path, case_files, capsys):
+        net_path, scn_path = case_files
+        doc = copy.deepcopy(SHORT_SCENARIO_DOC)
+        doc["profiles"] = {"N9": {"type": "sinusoid", "eta0": 0.1, "delta": 0.05}}
+        scn_path.write_text(json.dumps(doc))
+        assert run_cli("--network", net_path, "--scenario", scn_path,
+                       "--out", tmp_path / "out") == 2
+        assert "profiles['N9']: not a supply node" in capsys.readouterr().err
+
     def test_bad_topology(self, tmp_path, case_files):
         net_path, scn_path = case_files
         doc = copy.deepcopy(LINE_NETWORK_DOC)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import h2blend.solver
 from conftest import LINE_NETWORK_DOC, line_network, short_scenario
 from h2blend.network import parse_network, segment_pipes
 from h2blend.physics import GasConstants
@@ -114,6 +115,44 @@ def steady_line_case(eta_s=0.0, **scenario_overrides):
     scenario = short_scenario(**scenario_overrides)
     segnet = segment_pipes(line_network(eta_s=eta_s), scenario.dL)
     return segnet, scenario
+
+
+class TestFixedKktPattern:
+    def test_kkt_pattern_is_fixed_across_a_solve(self, monkeypatch):
+        patterns = []
+        splu = h2blend.solver.splu
+
+        def recorded_splu(A, *args, **kwargs):
+            if kwargs.get("options", {}).get("SymmetricMode"):
+                patterns.append((A.indptr.copy(), A.indices.copy()))
+            return splu(A, *args, **kwargs)
+
+        monkeypatch.setattr(h2blend.solver, "splu", recorded_splu)
+        segnet, scenario = steady_line_case(profiles={
+            "N1": {"type": "sinusoid", "eta0": 0.1, "delta": 0.05}})
+        steady = solve_steady(segnet, scenario)
+        patterns.clear()
+        result, _, _ = solve_transient(segnet, scenario, steady=steady)
+        assert result.success
+        # one factorization or more per iteration but the converged last
+        assert len(patterns) >= result.iterations - 1 > 1
+        indptr, indices = patterns[0]
+        for other_indptr, other_indices in patterns[1:]:
+            assert np.array_equal(other_indptr, indptr)
+            assert np.array_equal(other_indices, indices)
+
+    def test_changed_hessian_pattern_raises(self):
+        class ChangingHessian(QuadraticProblem):
+            calls = 0
+
+            def lagrangian_hessian(self, x, lam_eq):
+                self.calls += 1
+                if self.calls == 1:
+                    return super().lagrangian_hessian(x, lam_eq)
+                return sp.csr_matrix(np.array([[2.0, 0.1], [0.1, 2.0]]))
+
+        with pytest.raises(ValueError, match="Hessian changed its sparsity pattern"):
+            solve_nlp(ChangingHessian(), np.array([0.0, 0.0]))
 
 
 class TestSteadyState:

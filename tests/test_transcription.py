@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import short_scenario
+from conftest import line_network, short_scenario
 from h2blend.cli import bundled_path
 from h2blend.network import load_network, segment_pipes
 from h2blend.transcription import (
+    AssemblyError,
     ConfigurationError,
     TimeGrid,
     assemble_nlp,
@@ -73,6 +74,18 @@ class TestTimeGrid:
         assert d.sum() == pytest.approx(0.0)
         with pytest.raises(ConfigurationError):
             cyclic_derivative(xs, x, 0.0)
+
+
+class TestAssemblyErrors:
+    @pytest.mark.parametrize("node_id", ["N9", "N3"])
+    def test_profile_of_a_non_supply_node(self, node_id):
+        scenario = short_scenario(profiles={
+            node_id: {"type": "sinusoid", "eta0": 0.1, "delta": 0.05}})
+        segnet = segment_pipes(line_network(), scenario.dL)
+        grid = build_time_grid(scenario.T_f, scenario.dt)
+        with pytest.raises(AssemblyError,
+                           match=rf"profiles\['{node_id}'\]: not a supply node"):
+            assemble_nlp(segnet, scenario, grid)
 
 
 class TestCountingFormula:
@@ -293,6 +306,20 @@ class TestStructure:
         rows, cols = p.jacobian_sparsity()
         assert np.array_equal(rows, stacked.row)
         assert np.array_equal(cols, stacked.col)
+
+    def test_hessian_pattern_is_fixed(self, small_problem):
+        p = small_problem
+        rng = np.random.default_rng(4)
+        H1 = p.lagrangian_hessian(random_point(p, seed=1), rng.standard_normal(p.n_eq))
+        H2 = p.lagrangian_hessian(random_point(p, seed=2), np.zeros(p.n_eq))
+        assert np.array_equal(H1.indptr, H2.indptr)
+        assert np.array_equal(H1.indices, H2.indices)
+        n = p.index.total
+        rows = np.repeat(np.arange(n), np.diff(H1.indptr))
+        keys = rows * n + H1.indices
+        # canonical: sorted within each row, no duplicate entries
+        assert np.all(np.diff(keys) > 0)
+        assert np.array_equal(np.sort(H1.indices * n + rows), keys)
 
     def test_objective_matches_economics(self, small_problem):
         p = small_problem
