@@ -6,12 +6,14 @@ The solver handles problems of the form
 
 by introducing slacks for the inequalities and applying a logarithmic
 barrier to all simple bounds.  Search directions come from a sparse
-symmetric KKT system factored with SuperLU (fixed column ordering, so
-repeated runs are bit-for-bit identical).  Curvature is controlled
-without inertia information: the primal-primal block is regularized
-until the computed direction has positive curvature.  Step acceptance
-uses the classic filter line search with a second-order correction and
-a Levenberg-Marquardt feasibility restoration as a fallback.
+symmetric KKT system factored with SuperLU.  The column ordering is
+computed once per solve, by COLAMD on the fixed KKT pattern at the first
+factorization, and every later factorization reuses it.  Curvature is
+controlled without inertia information: the primal-primal block is
+regularized until the computed direction has positive curvature.  Step
+acceptance uses the classic filter line search with a second-order
+correction and a Levenberg-Marquardt feasibility restoration as a
+fallback.
 Constraints, Jacobian and gradient are evaluated once per accepted
 iterate and shared by the KKT error, the KKT system and the line search;
 restoration starts from that evaluation and evaluates each point once.
@@ -54,6 +56,10 @@ _DELTA_W0 = 1e-4
 _DELTA_W_MAX = 1e10
 _KAPPA_SIGMA = 1e10
 _BOUND_PUSH = 1e-2
+# SuperLU supernode settings for factorizations in the stored KKT order
+# (SuperLU's own defaults are panels of 20 columns, relaxed supernodes of 10)
+_LU_PANEL = 6
+_LU_RELAX = 5
 
 
 @dataclass
@@ -129,10 +135,16 @@ class _BarrierProblem:
                  np.concatenate([j_eq.indices, self._const_rows.indices]),
                  np.concatenate([j_eq.indptr, j_eq.nnz + self._const_rows.indptr[1:]])),
                 shape=(self.m, self.n_y))
+            self._j_rows = np.repeat(np.arange(self.m), np.diff(self._j_pattern.indptr))
         _check_pattern(j_eq, self._j_eq, "equality Jacobian")
         return sp.csr_matrix(
             (np.concatenate([j_eq.data, self._const_rows.data]),
              self._j_pattern.indices, self._j_pattern.indptr), shape=(self.m, self.n_y))
+
+    def jacobian_t_dot(self, J, v) -> np.ndarray:
+        """J^T v for a Jacobian from ``jacobian``, summed over its fixed
+        pattern without building J^T."""
+        return np.bincount(J.indices, weights=J.data * v[self._j_rows], minlength=self.n_y)
 
     def objective(self, y) -> float:
         return self.p.objective(y[:self.n_x])
@@ -161,17 +173,28 @@ class _KktMatrix:
 
     ``slot`` maps, in order, W.data, the n diagonal entries d, J.data
     (lower block), J.data again (upper block, J^T) and the m entries
-    -delta_c to their places in the pattern."""
+    -delta_c to their places in the pattern.
+
+    The pattern is stored symmetrically permuted: entry (i, j) of a built
+    matrix is entry (q[i], q[j]) of K.  q is the identity until the first
+    factorization succeeds.  That one orders K with COLAMD, the pattern
+    and ``slot`` are permuted once to its column order, q = argsort(perm_c),
+    and every later factorization takes the stored order as it is."""
 
     def __init__(self, W, J):
         m, n = J.shape
-        size = n + m
+        self.size = n + m
         self.W = W
         w_rows = np.repeat(np.arange(W.shape[0]), np.diff(W.indptr))
         j_rows = n + np.repeat(np.arange(m), np.diff(J.indptr))
-        diag = np.arange(size)
-        rows = np.concatenate([w_rows, diag[:n], j_rows, J.indices, diag[n:]])
-        cols = np.concatenate([W.indices, diag[:n], J.indices, j_rows, diag[n:]])
+        diag = np.arange(self.size)
+        self.q = None
+        self._place(np.concatenate([w_rows, diag[:n], j_rows, J.indices, diag[n:]]),
+                    np.concatenate([W.indices, diag[:n], J.indices, j_rows, diag[n:]]))
+
+    def _place(self, rows, cols):
+        """Pattern and slot map of the listed entries at (rows, cols)."""
+        size = self.size
         keys, self.slot = np.unique(cols * size + rows, return_inverse=True)
         self.pattern = sp.csc_matrix(
             (np.zeros(len(keys)), keys % size,
@@ -183,6 +206,28 @@ class _KktMatrix:
             [W.data, d, J.data, J.data, np.full(J.shape[0], -delta_c)]))
         return sp.csc_matrix((data, self.pattern.indices, self.pattern.indptr),
                              shape=self.pattern.shape)
+
+    def factor(self, K):
+        """SuperLU factor of a built matrix K, and the order q that K is in."""
+        if self.q is not None:
+            return splu(K, permc_spec="NATURAL", options=dict(SymmetricMode=True),
+                        panel_size=_LU_PANEL, relax=_LU_RELAX), self.q
+        lu = splu(K, permc_spec="COLAMD", options=dict(SymmetricMode=True))
+        # entry (r, c) moves to (perm_c[r], perm_c[c])
+        perm = lu.perm_c.astype(np.int64)
+        cols = np.repeat(np.arange(self.size), np.diff(self.pattern.indptr))
+        self._place(perm[self.pattern.indices[self.slot]], perm[cols[self.slot]])
+        self.q = np.argsort(perm)
+        return lu, np.arange(self.size)
+
+
+def _ordered_solve(lu, q):
+    """Solve K d = rhs with the factor lu of K[q][:, q]."""
+    def solve(rhs):
+        d = np.empty_like(rhs)
+        d[q] = lu.solve(rhs[q])
+        return d
+    return solve
 
 
 def _push_inside(y, L, U):
@@ -238,7 +283,7 @@ class _InteriorPoint:
     def kkt_error(self, y, ev, lam, zl, zu, mu):
         bp = self.bp
         c, J, g = ev
-        r_d = g + J.T @ lam - zl + zu
+        r_d = g + bp.jacobian_t_dot(J, lam) - zl + zu
         dl = np.where(self.has_l, y - bp.L, 1.0)
         du = np.where(self.has_u, bp.U - y, 1.0)
         comp_l = np.where(self.has_l, zl * dl - mu, 0.0)
@@ -271,13 +316,13 @@ class _InteriorPoint:
 
     def _solve_kkt(self, y, ev, lam, zl, zu, mu, delta_w_last):
         bp = self.bp
-        n, m = bp.n_y, bp.m
+        n = bp.n_y
         c, J, g = ev
         W = bp.hessian(y, lam)
         dl = np.where(self.has_l, y - bp.L, np.inf)
         du = np.where(self.has_u, bp.U - y, np.inf)
         sigma = np.where(self.has_l, zl / dl, 0.0) + np.where(self.has_u, zu / du, 0.0)
-        r_d = self._barrier_grad(y, g, mu) + J.T @ lam
+        r_d = self._barrier_grad(y, g, mu) + bp.jacobian_t_dot(J, lam)
         rhs = -np.concatenate([r_d, c])
 
         delta_w = 0.0
@@ -290,9 +335,9 @@ class _InteriorPoint:
         while True:
             K = self._kkt.build(W, J, sigma + delta_w, delta_c)
             try:
-                lu = splu(K, permc_spec="COLAMD",
-                          options=dict(SymmetricMode=True))
-                d = lu.solve(rhs)
+                lu, q = self._kkt.factor(K)
+                rhs_q = rhs[q]
+                d = lu.solve(rhs_q)
             except RuntimeError:
                 d = None
             singular = True
@@ -300,16 +345,18 @@ class _InteriorPoint:
                 and np.abs(d).max(initial=0.0) < 1e10
             if ok:
                 # an inaccurate solve marks the factorization as unreliable
-                lin_res = np.abs(K @ d - rhs).max(initial=0.0)
+                lin_res = np.abs(K @ d - rhs_q).max(initial=0.0)
                 ok = lin_res <= 1e-7 * (np.abs(rhs).max(initial=0.0) + 1.0)
             if ok:
-                # curvature dy' H dy from the H block of K
-                dy = d[:n]
-                curv = float(dy @ (K @ np.concatenate([dy, np.zeros(m)]))[:n])
-                ok = curv >= 1e-11 * float(dy @ dy)
+                # curvature dy' H dy from the H block of K ([dy; 0] in K's order)
+                v = np.where(q < n, d, 0.0)
+                curv = float(v @ (K @ v))
+                ok = curv >= 1e-11 * float(v @ v)
                 singular = False
             if ok:
-                return d[:n], d[n:], delta_w, lu
+                step = np.empty_like(d)
+                step[q] = d
+                return step[:n], step[n:], delta_w, _ordered_solve(lu, q)
             attempts += 1
             if singular or delta_c > 0.0:
                 delta_c = _REG_MIN * max(mu, 1e-20) ** 0.25 \
@@ -406,7 +453,8 @@ class _InteriorPoint:
                          min(_KAPPA_MU * mu, mu ** _THETA_MU))
                 filt.clear()
 
-            dy, dlam, delta_w, lu = self._solve_kkt(
+            kkt_solve = None                 # free the last factor before the next
+            dy, dlam, delta_w, kkt_solve = self._solve_kkt(
                 y, ev, lam, zl, zu, mu, delta_w_last)
             if dy is None:
                 y, ok = self._restore(y, ev, mu)
@@ -466,15 +514,14 @@ class _InteriorPoint:
                                      phi - _GAMMA_PHI * theta))
                     break
                 # second-order correction on the first rejected full-ish step
-                if not soc_done and n_backtrack == 0 and lu is not None \
-                        and theta_t > theta:
+                if not soc_done and n_backtrack == 0 and theta_t > theta:
                     soc_done = True
                     c_soc = c_t.copy()
                     theta_old = theta_t
                     y_soc = None
                     for _ in range(_MAX_SOC):
                         rhs = -np.concatenate([np.zeros(bp.n_y), c_soc])
-                        d_cor = lu.solve(rhs)
+                        d_cor = kkt_solve(rhs)
                         dy_cor = dy + d_cor[:bp.n_y]
                         a_soc = min(_max_step(y, dy_cor / tau, bp.L, 1.0),
                                     _max_step(y, dy_cor / tau, bp.U, -1.0))

@@ -451,9 +451,10 @@ class NlpProblem:
             self.bil_v * x[self.bil_q], self.bil_v * x[self.bil_p],
             (g_phi[:, None] * self.mom_dphi + g_rho[:, None] * self.mom_drho).ravel(),
             d_boost.ravel()])
-        J = self.jac_const.copy()
-        J.data += np.bincount(self.jac_slot, weights=vals, minlength=J.nnz)
-        return J
+        J = self.jac_const
+        return sp.csr_matrix(
+            (J.data + np.bincount(self.jac_slot, weights=vals, minlength=J.nnz),
+             J.indices, J.indptr), shape=J.shape)
 
     def ineq_jacobian(self, x: np.ndarray) -> sp.csr_matrix:
         return self.P.copy()
@@ -541,10 +542,11 @@ class NlpProblem:
             -lam4 * 2.0 * cp_i ** 2,
             # objective curvature (fc, alpha), (alpha, alpha)
             self.obj_wc / (2.0 * sq), -self.obj_wc * fc / (4.0 * alpha * sq)])
-        H = self.hess_pattern.copy()
-        H.data = np.bincount(self.hess_slot, minlength=H.nnz,
-                             weights=np.concatenate([vals, vals[self.hess_mirror]]))
-        return H
+        H = self.hess_pattern
+        return sp.csr_matrix(
+            (np.bincount(self.hess_slot, minlength=H.nnz,
+                         weights=np.concatenate([vals, vals[self.hess_mirror]])),
+             H.indices, H.indptr), shape=H.shape)
 
     # -- bookkeeping --------------------------------------------------------
 

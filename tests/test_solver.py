@@ -4,6 +4,7 @@ import types
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 import h2blend.solver
 from conftest import LINE_NETWORK_DOC, line_network, short_scenario
@@ -117,29 +118,117 @@ def steady_line_case(eta_s=0.0, **scenario_overrides):
     return segnet, scenario
 
 
+@pytest.fixture
+def kkt_factorizations(monkeypatch):
+    """Records (column ordering, matrix, factor) of every KKT
+    factorization; the restoration factorizations have no SymmetricMode."""
+    calls = []
+    splu = h2blend.solver.splu
+
+    def recorded_splu(A, *args, **kwargs):
+        lu = splu(A, *args, **kwargs)
+        if kwargs.get("options", {}).get("SymmetricMode"):
+            calls.append((kwargs["permc_spec"], A.copy(), lu))
+        return lu
+
+    monkeypatch.setattr(h2blend.solver, "splu", recorded_splu)
+    return calls
+
+
+class ConcaveProblem(QuadraticProblem):
+    """max (x0 - 2)^2 + (x1 + 1)^2 on the box [-5, 5]^2 with x0 + x1 = 1:
+    the Hessian is negative definite, so the curvature test forces
+    regularization retries."""
+
+    def objective(self, x):
+        return -super().objective(x)
+
+    def gradient(self, x):
+        return -super().gradient(x)
+
+    def lagrangian_hessian(self, x, lam_eq):
+        return sp.csr_matrix(-2.0 * np.eye(2))
+
+
 class TestFixedKktPattern:
-    def test_kkt_pattern_is_fixed_across_a_solve(self, monkeypatch):
-        patterns = []
-        splu = h2blend.solver.splu
-
-        def recorded_splu(A, *args, **kwargs):
-            if kwargs.get("options", {}).get("SymmetricMode"):
-                patterns.append((A.indptr.copy(), A.indices.copy()))
-            return splu(A, *args, **kwargs)
-
-        monkeypatch.setattr(h2blend.solver, "splu", recorded_splu)
+    def test_kkt_pattern_is_fixed_across_a_solve(self, kkt_factorizations):
         segnet, scenario = steady_line_case(profiles={
             "N1": {"type": "sinusoid", "eta0": 0.1, "delta": 0.05}})
         steady = solve_steady(segnet, scenario)
-        patterns.clear()
+        steady_calls = list(kkt_factorizations)
+        kkt_factorizations.clear()
         result, _, _ = solve_transient(segnet, scenario, steady=steady)
         assert result.success
-        # one factorization or more per iteration but the converged last
-        assert len(patterns) >= result.iterations - 1 > 1
-        indptr, indices = patterns[0]
-        for other_indptr, other_indices in patterns[1:]:
-            assert np.array_equal(other_indptr, indptr)
-            assert np.array_equal(other_indices, indices)
+        for calls in (steady_calls, kkt_factorizations):
+            # one factorization or more per iteration but the converged last
+            assert len(calls) >= 4
+            # COLAMD orders the first KKT matrix of each solve; every later
+            # one is factored in that stored order, on one pattern
+            assert [c[0] for c in calls] == ["COLAMD"] + ["NATURAL"] * (len(calls) - 1)
+            first = calls[1][1]
+            for _, other, _ in calls[2:]:
+                assert np.array_equal(other.indptr, first.indptr)
+                assert np.array_equal(other.indices, first.indices)
+        assert len(kkt_factorizations) >= result.iterations - 1
+
+    def test_regularization_retry_reuses_the_stored_ordering(self, kkt_factorizations,
+                                                             monkeypatch):
+        per_call = []
+        solve_kkt = _InteriorPoint._solve_kkt
+
+        def counted_solve_kkt(self, *args):
+            before = len(kkt_factorizations)
+            out = solve_kkt(self, *args)
+            per_call.append([c[0] for c in kkt_factorizations[before:]])
+            return out
+
+        monkeypatch.setattr(_InteriorPoint, "_solve_kkt", counted_solve_kkt)
+        result = solve_nlp(ConcaveProblem(ub=(5.0, 5.0)), np.array([0.0, 0.0]))
+        assert result.success
+        assert result.x == pytest.approx([-4.0, 5.0], abs=1e-6)
+        # the first direction needs retries after its COLAMD factorization,
+        # and later directions need retries too
+        assert per_call[0][0] == "COLAMD" and len(per_call[0]) > 1
+        assert any(len(specs) > 1 for specs in per_call[1:])
+        assert sum(specs.count("COLAMD") for specs in per_call) == 1
+
+    def test_direction_matches_a_direct_colamd_solve(self, kkt_factorizations,
+                                                     monkeypatch):
+        """Each direction solved through the stored ordering, and each
+        correction solve, equals a COLAMD solve of the KKT matrix in its
+        own row and column order."""
+        directions = []
+        solve_kkt = _InteriorPoint._solve_kkt
+
+        def checked_solve_kkt(self, y, ev, lam, zl, zu, mu, delta_w_last):
+            dy, dlam, delta_w, kkt_solve = solve_kkt(
+                self, y, ev, lam, zl, zu, mu, delta_w_last)
+            c, J, g = ev
+            rhs = -np.concatenate([self._barrier_grad(y, g, mu) + J.T @ lam, c])
+            rhs_soc = -np.concatenate([np.zeros(len(y)), c])
+            directions.append((kkt_factorizations[-1][1], rhs, np.concatenate([dy, dlam]),
+                               rhs_soc, kkt_solve(rhs_soc)))
+            return dy, dlam, delta_w, kkt_solve
+
+        monkeypatch.setattr(_InteriorPoint, "_solve_kkt", checked_solve_kkt)
+        segnet, scenario = steady_line_case(profiles={
+            "N1": {"type": "sinusoid", "eta0": 0.1, "delta": 0.05}})
+        steady = solve_steady(segnet, scenario)
+        kkt_factorizations.clear()
+        directions.clear()
+        result, _, _ = solve_transient(segnet, scenario, steady=steady)
+        assert result.success
+        assert len(directions) >= 4
+        # stored matrices are K[q][:, q] with q = argsort(perm_c) of the
+        # solve's first factorization, so K = stored[perm_c][:, perm_c]
+        assert kkt_factorizations[0][0] == "COLAMD"
+        perm = kkt_factorizations[0][2].perm_c
+        for stored, rhs, d, rhs_soc, d_soc in directions[1:]:
+            K = stored[perm][:, perm].tocsc()
+            lu = splu(K, permc_spec="COLAMD", options=dict(SymmetricMode=True))
+            for b, x in ((rhs, d), (rhs_soc, d_soc)):
+                direct = lu.solve(b)
+                assert np.abs(x - direct).max() <= 1e-10 * np.abs(direct).max()
 
     def test_changed_hessian_pattern_raises(self):
         class ChangingHessian(QuadraticProblem):
