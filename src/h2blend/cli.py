@@ -8,6 +8,7 @@ limit, 5 post-solve audit failure, 1 unexpected error.
 from __future__ import annotations
 
 import argparse
+import csv
 import importlib.resources
 import json
 import os
@@ -121,6 +122,15 @@ def _audit(trajectory, segnet, scenario, tol: float, out_dir: Path):
     return report
 
 
+def _write_log(result, path: Path):
+    """Write a solve's per-iteration log as CSV (nothing if it is empty)."""
+    if result.log:
+        with open(path, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(result.log[0]))
+            writer.writeheader()
+            writer.writerows(result.log)
+
+
 def run(args) -> int:
     out_dir = Path(args.out or os.environ.get("H2BLEND_OUT", "h2blend_out"))
     try:
@@ -153,9 +163,9 @@ def run(args) -> int:
 
     out_dir.mkdir(parents=True, exist_ok=True)
     options = SolverOptions(kkt_tol=args.tol)
-    if args.iter_log:
-        options.iteration_log = str(out_dir / "iterations_steady.csv")
     steady_result, steady_problem = solve_steady(segnet, scenario, options)
+    if args.iter_log:
+        _write_log(steady_result, out_dir / "iterations_steady.csv")
     print(f"steady: {steady_result.status} in {steady_result.iterations} "
           f"iterations ({steady_result.wall_time:.2f} s), "
           f"violation {steady_result.violation:.2e}")
@@ -168,11 +178,11 @@ def run(args) -> int:
     if args.mode == "steady":
         result, problem = steady_result, steady_problem
     else:
-        if args.iter_log:
-            options.iteration_log = str(out_dir / "iterations_transient.csv")
         result, problem, _ = solve_transient(
             segnet, scenario, options,
             steady=(steady_result, steady_problem))
+        if args.iter_log:
+            _write_log(result, out_dir / "iterations_transient.csv")
         print(f"transient: {result.status} in {result.iterations} "
               f"iterations ({result.wall_time:.2f} s), "
               f"violation {result.violation:.2e}")

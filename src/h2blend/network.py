@@ -382,9 +382,9 @@ class Profile:
 class Scenario:
     """Time horizon, discretization, supply profiles, prices and weights."""
 
-    T_f: float                               # hours
-    dt: float                                # hours
-    dL: float                                # m
+    T_f: float = 24.0                        # hours
+    dt: float = 0.5                          # hours
+    dL: float = 10000.0                      # m
     profiles: dict[str, Profile] = field(default_factory=dict)
     c_H2: float = 1.5                        # $/kg
     c_NG: float = 0.18                       # $/kg
@@ -458,6 +458,22 @@ def _parse_profile(node_id: str, entry: dict) -> Profile:
     raise ParseError(f"{where}: unknown profile type {kind!r}")
 
 
+# Numbers read from a scenario document as (section, key, field), in the
+# order they are checked; an absent key keeps the field's default.  Section
+# None is the top level of the document.
+_GAS_NUMBERS = tuple(("gas", key, key) for key in ("a_H2", "a_NG", "R_H2", "R_NG"))
+_SCENARIO_NUMBERS = (
+    (None, "horizon_hours", "T_f"), (None, "dt_hours", "dt"),
+    (None, "segment_length_m", "dL"),
+    ("prices", "c_H2", "c_H2"), ("prices", "c_NG", "c_NG"),
+    ("prices", "C_E", "C_E"), ("prices", "zeta", "zeta"), (None, "xi", "xi"),
+    ("compressor_cost", "mu", "mu"), ("compressor_cost", "G", "G"),
+    ("compressor_cost", "T", "T_suction"),
+    ("scales", "l0", "l0"), ("scales", "p0", "p0"), ("scales", "M", "M"),
+    (None, "qs_max", "qs_max"), (None, "qw_max", "qw_max"),
+)
+
+
 def parse_scenario(document: dict) -> Scenario:
     _object(document, "scenario")
 
@@ -468,41 +484,16 @@ def parse_scenario(document: dict) -> Scenario:
         node_id: _parse_profile(node_id, entry)
         for node_id, entry in section("profiles").items()
     }
-    prices = section("prices")
-    cost = section("compressor_cost")
-    gas_doc = section("gas")
-    scales_doc = section("scales")
+    docs = {None: document, **{key: section(key) for key in
+                               ("prices", "compressor_cost", "gas", "scales")}}
 
-    def number(doc: dict, key: str, default: float, where: str = "scenario") -> float:
-        return _number(doc.get(key, default), where, key)
+    def numbers(entries) -> dict:
+        return {name: _number(docs[sec][key],
+                              "scenario" if sec is None else f"scenario.{sec}", key)
+                for sec, key, name in entries if key in docs[sec]}
 
-    defaults = GasConstants()
-    gas = GasConstants(
-        a_H2=number(gas_doc, "a_H2", defaults.a_H2, "scenario.gas"),
-        a_NG=number(gas_doc, "a_NG", defaults.a_NG, "scenario.gas"),
-        R_H2=number(gas_doc, "R_H2", defaults.R_H2, "scenario.gas"),
-        R_NG=number(gas_doc, "R_NG", defaults.R_NG, "scenario.gas"),
-    )
-    return Scenario(
-        T_f=number(document, "horizon_hours", 24.0),
-        dt=number(document, "dt_hours", 0.5),
-        dL=number(document, "segment_length_m", 10000.0),
-        profiles=profiles,
-        c_H2=number(prices, "c_H2", 1.5, "scenario.prices"),
-        c_NG=number(prices, "c_NG", 0.18, "scenario.prices"),
-        C_E=number(prices, "C_E", 0.01, "scenario.prices"),
-        zeta=number(prices, "zeta", 0.07, "scenario.prices"),
-        xi=number(document, "xi", 0.5),
-        mu=number(cost, "mu", 1.31, "scenario.compressor_cost"),
-        G=number(cost, "G", 0.505, "scenario.compressor_cost"),
-        T_suction=number(cost, "T", 288.7, "scenario.compressor_cost"),
-        gas=gas,
-        l0=number(scales_doc, "l0", DEFAULT_L0, "scenario.scales"),
-        p0=number(scales_doc, "p0", DEFAULT_P0, "scenario.scales"),
-        M=number(scales_doc, "M", DEFAULT_MACH, "scenario.scales"),
-        qs_max=number(document, "qs_max", 1000.0),
-        qw_max=number(document, "qw_max", 2000.0),
-    )
+    gas = GasConstants(**numbers(_GAS_NUMBERS))
+    return Scenario(profiles=profiles, gas=gas, **numbers(_SCENARIO_NUMBERS))
 
 
 def load_scenario(path: str | Path) -> Scenario:

@@ -14,9 +14,11 @@ regularized until the computed direction has positive curvature.  Step
 acceptance uses the classic filter line search with a second-order
 correction and a Levenberg-Marquardt feasibility restoration as a
 fallback.
-Constraints, Jacobian and gradient are evaluated once per accepted
-iterate and shared by the KKT error, the KKT system and the line search;
-restoration starts from that evaluation and evaluates each point once.
+Each iterate is evaluated once, into one record: constraints, Jacobian,
+objective and its gradient, J^T lambda, the bound gaps and the mu-free
+part of the KKT error.  The KKT error, the KKT system, the line search,
+restoration and the iteration log all read that record; restoration
+evaluates each of its own points once.
 The Jacobian and the KKT matrix live on sparsity patterns fixed by their
 first evaluation: the KKT matrix is built on a fixed CSC pattern and
 refilled in place for every factorization attempt, and a Hessian or
@@ -25,9 +27,9 @@ Jacobian whose pattern differs from the first is an error.
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -66,7 +68,6 @@ _LU_RELAX = 5
 class SolverOptions:
     kkt_tol: float = 1e-6
     max_iter: int = 3000
-    iteration_log: Optional[str] = None      # CSV path, one row per iteration
 
 
 @dataclass
@@ -80,6 +81,9 @@ class SolveResult:
     wall_time: float
     multipliers: dict = field(default_factory=dict)
     message: str = ""
+    # one row per accepted step: iteration, mu, objective, violation, kkt,
+    # step, regularization
+    log: list = field(default_factory=list)
 
     @property
     def success(self) -> bool:
@@ -270,60 +274,59 @@ class _InteriorPoint:
         self.opt = options
         self.has_l = np.isfinite(bp.L)
         self.has_u = np.isfinite(bp.U)
-        self.log_rows = []
         self._kkt = None                     # _KktMatrix, from the first build
 
-    def evaluate(self, y):
-        """Constraints, Jacobian and objective gradient at y: (c, J, g)."""
+    def evaluate(self, y, lam, zl, zu):
+        """Record of the iterate (y, lam, zl, zu): c, J, f, g, J^T lam, the
+        bound gaps gap_l = y - L and gap_u = U - y (1 where unbounded), the
+        mu-free part err0 of the KKT error with its scalings s_d and s_c,
+        and the KKT error kkt at mu = 0."""
         bp = self.bp
-        return bp.constraints(y), bp.jacobian(y), bp.gradient(y)
+        pt = SimpleNamespace(y=y, lam=lam, zl=zl, zu=zu, c=bp.constraints(y),
+                             J=bp.jacobian(y), f=bp.objective(y), g=bp.gradient(y),
+                             gap_l=np.where(self.has_l, y - bp.L, 1.0),
+                             gap_u=np.where(self.has_u, bp.U - y, 1.0))
+        pt.jt_lam = bp.jacobian_t_dot(pt.J, lam)
+        n_mult = len(lam) + self.has_l.sum() + self.has_u.sum()
+        pt.s_d = max(_SMAX, (np.abs(lam).sum() + zl.sum() + zu.sum())
+                     / max(1, n_mult)) / _SMAX
+        pt.s_c = max(_SMAX, (zl.sum() + zu.sum())
+                     / max(1, self.has_l.sum() + self.has_u.sum())) / _SMAX
+        pt.err0 = max(np.abs(pt.g + pt.jt_lam - zl + zu).max(initial=0.0) / pt.s_d,
+                      np.abs(pt.c).max(initial=0.0))
+        pt.kkt = self.kkt_error(pt, 0.0)
+        return pt
 
     # -- diagnostics --------------------------------------------------------
 
-    def kkt_error(self, y, ev, lam, zl, zu, mu):
-        bp = self.bp
-        c, J, g = ev
-        r_d = g + bp.jacobian_t_dot(J, lam) - zl + zu
-        dl = np.where(self.has_l, y - bp.L, 1.0)
-        du = np.where(self.has_u, bp.U - y, 1.0)
-        comp_l = np.where(self.has_l, zl * dl - mu, 0.0)
-        comp_u = np.where(self.has_u, zu * du - mu, 0.0)
-        n_mult = len(lam) + self.has_l.sum() + self.has_u.sum()
-        s_d = max(_SMAX, (np.abs(lam).sum() + zl.sum() + zu.sum())
-                  / max(1, n_mult)) / _SMAX
-        s_c = max(_SMAX, (zl.sum() + zu.sum())
-                  / max(1, self.has_l.sum() + self.has_u.sum())) / _SMAX
-        return max(
-            np.abs(r_d).max(initial=0.0) / s_d,
-            np.abs(c).max(initial=0.0),
-            max(np.abs(comp_l).max(initial=0.0),
-                np.abs(comp_u).max(initial=0.0)) / s_c,
-        )
+    def kkt_error(self, pt, mu):
+        """Scaled KKT error at the record pt for barrier parameter mu."""
+        comp_l = np.where(self.has_l, pt.zl * pt.gap_l - mu, 0.0)
+        comp_u = np.where(self.has_u, pt.zu * pt.gap_u - mu, 0.0)
+        return max(pt.err0, max(np.abs(comp_l).max(initial=0.0),
+                                np.abs(comp_u).max(initial=0.0)) / pt.s_c)
 
-    def _barrier_value(self, y, mu):
-        val = self.bp.objective(y)
+    def _barrier_value(self, y, f, mu):
+        """Barrier function at y, whose objective value is f."""
         if mu > 0.0:
-            val -= mu * np.sum(np.log((y - self.bp.L)[self.has_l]))
-            val -= mu * np.sum(np.log((self.bp.U - y)[self.has_u]))
-        return val
+            f -= mu * np.sum(np.log((y - self.bp.L)[self.has_l]))
+            f -= mu * np.sum(np.log((self.bp.U - y)[self.has_u]))
+        return f
 
-    def _barrier_grad(self, y, g, mu):
-        g = g - np.where(self.has_l, mu / (y - self.bp.L), 0.0)
-        g = g + np.where(self.has_u, mu / (self.bp.U - y), 0.0)
-        return g
+    def _barrier_grad(self, pt, mu):
+        g = pt.g - np.where(self.has_l, mu / pt.gap_l, 0.0)
+        return g + np.where(self.has_u, mu / pt.gap_u, 0.0)
 
     # -- KKT solve ----------------------------------------------------------
 
-    def _solve_kkt(self, y, ev, lam, zl, zu, mu, delta_w_last):
-        bp = self.bp
-        n = bp.n_y
-        c, J, g = ev
-        W = bp.hessian(y, lam)
-        dl = np.where(self.has_l, y - bp.L, np.inf)
-        du = np.where(self.has_u, bp.U - y, np.inf)
-        sigma = np.where(self.has_l, zl / dl, 0.0) + np.where(self.has_u, zu / du, 0.0)
-        r_d = self._barrier_grad(y, g, mu) + bp.jacobian_t_dot(J, lam)
-        rhs = -np.concatenate([r_d, c])
+    def _solve_kkt(self, pt, gphi, mu, delta_w_last):
+        """Newton direction at the record pt; gphi is its barrier gradient."""
+        n = self.bp.n_y
+        J = pt.J
+        W = self.bp.hessian(pt.y, pt.lam)
+        sigma = np.where(self.has_l, pt.zl / pt.gap_l, 0.0) \
+            + np.where(self.has_u, pt.zu / pt.gap_u, 0.0)
+        rhs = -np.concatenate([gphi + pt.jt_lam, pt.c])
 
         delta_w = 0.0
         # a small always-on dual regularization keeps the system solvable
@@ -371,16 +374,16 @@ class _InteriorPoint:
 
     # -- restoration --------------------------------------------------------
 
-    def _restore(self, y, ev, mu):
+    def _restore(self, pt, mu):
         """Levenberg-Marquardt steps on 0.5*||C||^2 inside the bounds,
-        starting from y with its evaluation ev.
+        starting from the record pt.
 
         Returns (y_new, success).  Success means the violation dropped
         enough to resume the main algorithm.  The Jacobian is evaluated
         once per accepted point; rejected steps reuse J^T J and J^T c.
         """
         bp = self.bp
-        c, J = ev[0], ev[1]
+        y, c, J = pt.y, pt.c, pt.J
         theta0 = np.abs(c).sum()
         lm = 1e-4
         best = y.copy()
@@ -434,9 +437,10 @@ class _InteriorPoint:
         zl = np.where(self.has_l, mu / np.where(self.has_l, y - bp.L, 1.0), 0.0)
         zu = np.where(self.has_u, mu / np.where(self.has_u, bp.U - y, 1.0), 0.0)
 
-        ev = self.evaluate(y)
+        pt = self.evaluate(y, lam, zl, zu)
+        log = []
         filt: list[tuple[float, float]] = []
-        theta = np.abs(ev[0]).sum()
+        theta = np.abs(pt.c).sum()
         theta_max = 1e4 * max(1.0, theta)
         theta_min = 1e-4 * max(1.0, theta)
         delta_w_last = 0.0
@@ -444,22 +448,22 @@ class _InteriorPoint:
         it = 0
 
         for it in range(1, opt.max_iter + 1):
-            if self.kkt_error(y, ev, lam, zl, zu, 0.0) <= opt.kkt_tol:
+            if pt.kkt <= opt.kkt_tol:
                 status, message = "local-optimum", "KKT conditions satisfied"
                 break
-            while self.kkt_error(y, ev, lam, zl, zu, mu) <= _KAPPA_EPS * mu \
+            while self.kkt_error(pt, mu) <= _KAPPA_EPS * mu \
                     and mu > opt.kkt_tol / _KAPPA_EPS:
                 mu = max(opt.kkt_tol / _KAPPA_EPS,
                          min(_KAPPA_MU * mu, mu ** _THETA_MU))
                 filt.clear()
 
+            y = pt.y
+            gphi = self._barrier_grad(pt, mu)
             kkt_solve = None                 # free the last factor before the next
-            dy, dlam, delta_w, kkt_solve = self._solve_kkt(
-                y, ev, lam, zl, zu, mu, delta_w_last)
+            dy, dlam, delta_w, kkt_solve = self._solve_kkt(pt, gphi, mu, delta_w_last)
             if dy is None:
-                y, ok = self._restore(y, ev, mu)
-                y = _push_inside(y, bp.L, bp.U)
-                ev = self.evaluate(y)
+                y_new, ok = self._restore(pt, mu)
+                pt = self.evaluate(_push_inside(y_new, bp.L, bp.U), pt.lam, pt.zl, pt.zu)
                 if ok:
                     filt.clear()
                     continue
@@ -468,21 +472,18 @@ class _InteriorPoint:
                 break
             if delta_w > 0.0:
                 delta_w_last = delta_w
-            dl = np.where(self.has_l, y - bp.L, np.inf)
-            du = np.where(self.has_u, bp.U - y, np.inf)
-            dzl = np.where(self.has_l, (mu - zl * dy) / dl - zl, 0.0)
-            dzu = np.where(self.has_u, (mu + zu * dy) / du - zu, 0.0)
+            dzl = np.where(self.has_l, (mu - pt.zl * dy) / pt.gap_l - pt.zl, 0.0)
+            dzu = np.where(self.has_u, (mu + pt.zu * dy) / pt.gap_u - pt.zu, 0.0)
 
             tau = max(_TAU_MIN, 1.0 - mu)
             a_max = min(_max_step(y, dy / tau, bp.L, 1.0),
                         _max_step(y, dy / tau, bp.U, -1.0))
-            a_z = min(_max_step(zl, dzl / tau, np.where(self.has_l, 0.0, -np.inf), 1.0),
-                      _max_step(zu, dzu / tau, np.where(self.has_u, 0.0, -np.inf), 1.0))
+            a_z = min(_max_step(pt.zl, dzl / tau, np.where(self.has_l, 0.0, -np.inf), 1.0),
+                      _max_step(pt.zu, dzu / tau, np.where(self.has_u, 0.0, -np.inf), 1.0))
 
-            phi = self._barrier_value(y, mu)
-            gphi = self._barrier_grad(y, ev[2], mu)
+            phi = self._barrier_value(y, pt.f, mu)
             dphi = float(gphi @ dy)
-            theta = np.abs(ev[0]).sum()
+            theta = np.abs(pt.c).sum()
 
             def filter_ok(th, ph):
                 for th_j, ph_j in filt + [(theta, phi)]:
@@ -499,7 +500,7 @@ class _InteriorPoint:
                 trial = y + alpha * dy
                 c_t = bp.constraints(trial)
                 theta_t = np.abs(c_t).sum()
-                phi_t = self._barrier_value(trial, mu)
+                phi_t = self._barrier_value(trial, bp.objective(trial), mu)
                 switching = (dphi < 0.0
                              and alpha * (-dphi) ** _S_PHI
                              > (theta ** _S_THETA))
@@ -529,7 +530,8 @@ class _InteriorPoint:
                         c_try = bp.constraints(y_try)
                         th_try = np.abs(c_try).sum()
                         if th_try <= _KAPPA_SOC * theta_old:
-                            if filter_ok(th_try, self._barrier_value(y_try, mu)):
+                            if filter_ok(th_try, self._barrier_value(
+                                    y_try, bp.objective(y_try), mu)):
                                 y_soc = y_try
                                 break
                             c_soc, theta_old = c_try, th_try
@@ -543,10 +545,9 @@ class _InteriorPoint:
                 n_backtrack += 1
 
             if not accepted:
-                y_new, ok = self._restore(y, ev, mu)
+                y_new, ok = self._restore(pt, mu)
                 if ok:
-                    y = _push_inside(y_new, bp.L, bp.U)
-                    ev = self.evaluate(y)
+                    pt = self.evaluate(_push_inside(y_new, bp.L, bp.U), pt.lam, pt.zl, pt.zu)
                     filt.clear()
                     delta_w_last = 0.0
                     continue
@@ -559,38 +560,25 @@ class _InteriorPoint:
                     message = "line search failed near a feasible point"
                 break
 
-            y = trial
-            ev = self.evaluate(y)
-            lam = lam + alpha * dlam
-            zl = _clip_dual(zl + a_z * dzl, y - bp.L, self.has_l, mu)
-            zu = _clip_dual(zu + a_z * dzu, bp.U - y, self.has_u, mu)
-            if self.opt.iteration_log is not None:
-                self.log_rows.append(dict(
-                    iteration=it, mu=mu, objective=bp.objective(y),
-                    violation=float(np.abs(ev[0]).max(initial=0.0)),
-                    kkt=self.kkt_error(y, ev, lam, zl, zu, 0.0),
-                    step=alpha, regularization=delta_w))
+            pt = self.evaluate(trial, pt.lam + alpha * dlam,
+                               _clip_dual(pt.zl + a_z * dzl, trial - bp.L, self.has_l, mu),
+                               _clip_dual(pt.zu + a_z * dzu, bp.U - trial, self.has_u, mu))
+            log.append(dict(iteration=it, mu=mu, objective=pt.f,
+                            violation=float(np.abs(pt.c).max(initial=0.0)),
+                            kkt=pt.kkt, step=alpha, regularization=delta_w))
 
         wall = time.perf_counter() - t_start
-        x = y[:bp.n_x]
-        result = SolveResult(
-            status=status, x=x, objective=bp.objective(y),
-            violation=self._violation(y, ev[0]),
-            kkt_residual=self.kkt_error(y, ev, lam, zl, zu, 0.0),
+        y, lam = pt.y, pt.lam
+        return SolveResult(
+            status=status, x=y[:bp.n_x], objective=pt.f,
+            violation=self._violation(y, pt.c), kkt_residual=pt.kkt,
             iterations=it, wall_time=wall,
             multipliers=dict(equality=lam[:bp.p.n_eq],
                              inequality=lam[bp.p.n_eq:bp.p.n_eq + bp.p.n_ineq],
-                             bound_lower=zl[:bp.n_x], bound_upper=zu[:bp.n_x],
+                             bound_lower=pt.zl[:bp.n_x], bound_upper=pt.zu[:bp.n_x],
                              slacks=y[bp.n_x:]),
-            message=message,
+            message=message, log=log,
         )
-        if self.opt.iteration_log is not None and self.log_rows:
-            with open(self.opt.iteration_log, "w", newline="") as fh:
-                wr = csv.DictWriter(fh, fieldnames=list(self.log_rows[0]))
-                wr.writeheader()
-                for row in self.log_rows:
-                    wr.writerow(row)
-        return result
 
     def _violation(self, y, c) -> float:
         bp = self.bp

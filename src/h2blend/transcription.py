@@ -392,8 +392,8 @@ class NlpProblem:
         xi = scn.xi
         dt_h = grid.dt
         K_work = scn.compressor_work_constant()
-        qs_coef = (xi * 3600.0 * dt_h * self.flow0
-                   * (self.eta_s * scn.c_H2 + (1.0 - self.eta_s) * scn.c_NG))
+        price = self.eta_s * scn.c_H2 + (1.0 - self.eta_s) * scn.c_NG
+        qs_coef = xi * 3600.0 * dt_h * self.flow0 * price
         ge_coef = -xi * 3600.0 * dt_h * scn.C_E * self.energy0
         wc_coef = (1.0 - xi) * scn.zeta * dt_h * K_work * self.flow0 / 1000.0
         raw = max(abs(ge_coef), qs_coef.max(initial=0.0), wc_coef, 1e-30)
@@ -402,10 +402,10 @@ class NlpProblem:
         self.obj_qs_coef = qs_coef.ravel() * self.obj_scale
         self.obj_ge_coef = ge_coef * self.obj_scale
         self.obj_wc = wc_coef * self.obj_scale
-        # unscaled coefficients for reporting in dollars
-        self.econ_qs_coef = qs_coef.ravel()
-        self.econ_ge_coef = ge_coef
-        self.econ_wc = wc_coef
+        # dollar coefficients without the xi weights, for reporting
+        self.econ_qs_coef = (3600.0 * dt_h * self.flow0 * price).ravel()
+        self.econ_ge_coef = -3600.0 * dt_h * scn.C_E * self.energy0
+        self.econ_wc = scn.zeta * dt_h * K_work * self.flow0 / 1000.0
         self.xi = xi
 
     # -- evaluation ---------------------------------------------------------
@@ -488,12 +488,10 @@ class NlpProblem:
 
     def economics(self, x: np.ndarray) -> dict:
         """Objective breakdown in dollars over the horizon."""
-        purchase = float(np.dot(self.econ_qs_coef, x[self.obj_qs_cols])) / max(self.xi, 1e-30)
-        revenue = -float(self.econ_ge_coef * self.index.block(x, "ge").sum()) / max(self.xi, 1e-30)
-        xi_c = 1.0 - self.xi
-        compression = (float(self.econ_wc * np.dot(x[self.C_fc],
-                                                   np.sqrt(x[self.C_alpha]) - 1.0))
-                       / max(xi_c, 1e-30))
+        purchase = float(np.dot(self.econ_qs_coef, x[self.obj_qs_cols]))
+        revenue = -float(self.econ_ge_coef * self.index.block(x, "ge").sum())
+        compression = float(self.econ_wc * np.dot(x[self.C_fc],
+                                                  np.sqrt(x[self.C_alpha]) - 1.0))
         return {
             "gas_purchase_usd": purchase,
             "energy_revenue_usd": revenue,

@@ -1,6 +1,8 @@
 import copy
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from h2blend.network import (
     ParseError,
     Pipe,
     Profile,
+    Scenario,
     injection_profile,
     load_network,
     load_scenario,
@@ -241,6 +244,9 @@ class TestParseScenario:
         assert scn.xi == 0.5
         assert scn.n_steps == 48
 
+    def test_empty_document_is_the_default_scenario(self):
+        assert parse_scenario({}) == Scenario()
+
     def test_dt_must_divide_horizon(self):
         with pytest.raises(ParseError, match="divide"):
             parse_scenario({"horizon_hours": 24.0, "dt_hours": 0.7})
@@ -278,3 +284,13 @@ class TestParseScenario:
         path.write_text(json.dumps({"horizon_hours": 12.0, "dt_hours": 1.0}))
         scn = load_scenario(path)
         assert scn.n_steps == 12
+
+
+def test_readme_json_examples_parse():
+    """Every JSON block of README.md is a valid network or scenario."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
+    assert len(blocks) >= 2
+    for block in blocks:
+        document = json.loads(block)
+        (parse_network if "nodes" in document else parse_scenario)(document)

@@ -1,3 +1,4 @@
+import builtins
 import copy
 import types
 
@@ -36,12 +37,11 @@ def kkt_residuals(problem, result) -> dict:
     lam[problem.n_eq:problem.n_eq + problem.n_ineq] = mult["inequality"]
     zl = np.concatenate([mult["bound_lower"], np.zeros(bp.n_s)])
     zu = np.concatenate([mult["bound_upper"], np.zeros(bp.n_s)])
-    ev = ip.evaluate(y)
-    c, J, g = ev
+    pt = ip.evaluate(y, lam, zl, zu)
     return {
-        "stationarity": float(np.abs(g + J.T @ lam - zl + zu).max(initial=0.0)),
-        "feasibility": float(np.abs(c).max(initial=0.0)),
-        "kkt_error": float(ip.kkt_error(y, ev, lam, zl, zu, 0.0)),
+        "stationarity": float(np.abs(pt.g + pt.J.T @ lam - zl + zu).max(initial=0.0)),
+        "feasibility": float(np.abs(pt.c).max(initial=0.0)),
+        "kkt_error": float(ip.kkt_error(pt, 0.0)),
     }
 
 
@@ -116,6 +116,15 @@ def steady_line_case(eta_s=0.0, **scenario_overrides):
     scenario = short_scenario(**scenario_overrides)
     segnet = segment_pipes(line_network(eta_s=eta_s), scenario.dL)
     return segnet, scenario
+
+
+def restoration_line_case():
+    """Line case whose transient solve ends in restoration (infeasible)."""
+    doc = copy.deepcopy(LINE_NETWORK_DOC)
+    doc["nodes"][1]["gE_max"] = 5000.0
+    scenario = short_scenario(profiles={
+        "N1": {"type": "sinusoid", "eta0": 0.1, "delta": 0.05}})
+    return segment_pipes(parse_network(doc), scenario.dL), scenario
 
 
 @pytest.fixture
@@ -200,12 +209,10 @@ class TestFixedKktPattern:
         directions = []
         solve_kkt = _InteriorPoint._solve_kkt
 
-        def checked_solve_kkt(self, y, ev, lam, zl, zu, mu, delta_w_last):
-            dy, dlam, delta_w, kkt_solve = solve_kkt(
-                self, y, ev, lam, zl, zu, mu, delta_w_last)
-            c, J, g = ev
-            rhs = -np.concatenate([self._barrier_grad(y, g, mu) + J.T @ lam, c])
-            rhs_soc = -np.concatenate([np.zeros(len(y)), c])
+        def checked_solve_kkt(self, pt, gphi, mu, delta_w_last):
+            dy, dlam, delta_w, kkt_solve = solve_kkt(self, pt, gphi, mu, delta_w_last)
+            rhs = -np.concatenate([self._barrier_grad(pt, mu) + pt.J.T @ pt.lam, pt.c])
+            rhs_soc = -np.concatenate([np.zeros(len(pt.y)), pt.c])
             directions.append((kkt_factorizations[-1][1], rhs, np.concatenate([dy, dlam]),
                                rhs_soc, kkt_solve(rhs_soc)))
             return dy, dlam, delta_w, kkt_solve
@@ -300,9 +307,9 @@ class TestOneEvaluationPerIterate:
             calls["eq_jacobian"] += 1
             return eq_jacobian(self, x)
 
-        def counted_restore(self, y, ev, mu):
+        def counted_restore(self, *args):
             calls["restore"] += 1
-            return restore(self, y, ev, mu)
+            return restore(self, *args)
 
         monkeypatch.setattr(NlpProblem, "eq_jacobian", counted_eq_jacobian)
         monkeypatch.setattr(_InteriorPoint, "_restore", counted_restore)
@@ -329,6 +336,28 @@ class TestOneEvaluationPerIterate:
         assert result.status == "iteration-limit"
         assert calls == {"eq_jacobian": result.iterations + 1, "restore": 0}
 
+    def test_one_jacobian_product_per_evaluation(self, monkeypatch):
+        """J^T lambda is formed once per iterate record, on converged solves
+        and on a solve that ends in restoration."""
+        calls = {"evaluate": 0, "jacobian_t_dot": 0}
+
+        def counted(cls, name):
+            method = getattr(cls, name)
+
+            def wrapper(self, *args):
+                calls[name] += 1
+                return method(self, *args)
+            monkeypatch.setattr(cls, name, wrapper)
+
+        counted(_InteriorPoint, "evaluate")
+        counted(_BarrierProblem, "jacobian_t_dot")
+        segnet, scenario = steady_line_case()
+        result, _, steady_result = solve_transient(segnet, scenario)
+        assert steady_result.success and result.success
+        result, _, _ = solve_transient(*restoration_line_case())
+        assert result.status == "infeasible"
+        assert calls["evaluate"] > 0
+        assert calls["jacobian_t_dot"] == calls["evaluate"]
 
     def test_restoration_evaluates_each_point_once(self, monkeypatch):
         """A line case whose transient solve ends in restoration: the
@@ -341,12 +370,7 @@ class TestOneEvaluationPerIterate:
             return eq_jacobian(self, x)
 
         monkeypatch.setattr(NlpProblem, "eq_jacobian", recorded_eq_jacobian)
-        doc = copy.deepcopy(LINE_NETWORK_DOC)
-        doc["nodes"][1]["gE_max"] = 5000.0
-        scenario = short_scenario(profiles={
-            "N1": {"type": "sinusoid", "eta0": 0.1, "delta": 0.05}})
-        segnet = segment_pipes(parse_network(doc), scenario.dL)
-        result, _, _ = solve_transient(segnet, scenario)
+        result, _, _ = solve_transient(*restoration_line_case())
         assert (result.status, result.iterations) == ("infeasible", 26)
         assert result.message == \
             "restoration stalled at constraint violation 6.095e-02"
@@ -405,12 +429,42 @@ class TestTransient:
         assert t1.qw == pytest.approx(t2.qw, rel=1e-6)
         assert t1.f0 == pytest.approx(t2.f0, rel=1e-6)
 
-    def test_iteration_log_written(self, tmp_path):
+    def test_iteration_log_collected(self, monkeypatch):
+        """One row per accepted step, in the seven log columns; without
+        restoration every evaluation after the first is an accepted step."""
+        evaluations = []
+        evaluate = _InteriorPoint.evaluate
+
+        def counted_evaluate(self, *args):
+            evaluations.append(1)
+            return evaluate(self, *args)
+
+        monkeypatch.setattr(_InteriorPoint, "evaluate", counted_evaluate)
         segnet, scenario = steady_line_case(eta_s=0.1)
-        log = tmp_path / "iters.csv"
-        options = SolverOptions(iteration_log=str(log))
-        result, _ = solve_steady(segnet, scenario, options)
+        result, _ = solve_steady(segnet, scenario)
         assert result.success
-        lines = log.read_text().strip().splitlines()
-        assert len(lines) >= result.iterations
-        assert lines[0].startswith("iter")
+        assert len(result.log) == len(evaluations) - 1 == result.iterations - 1
+        assert [row["iteration"] for row in result.log] == \
+            list(range(1, result.iterations))
+        for row in result.log:
+            assert list(row) == ["iteration", "mu", "objective", "violation",
+                                 "kkt", "step", "regularization"]
+
+    def test_log_kkt_is_the_result_kkt(self):
+        segnet, scenario = steady_line_case(eta_s=0.1)
+        steady = solve_steady(segnet, scenario)
+        result, _, _ = solve_transient(segnet, scenario, steady=steady)
+        for r in (steady[0], result):
+            assert r.success
+            assert r.log[-1]["kkt"] == r.kkt_residual <= SolverOptions().kkt_tol
+
+    def test_library_solve_writes_no_file(self, tmp_path, monkeypatch):
+        opened = []
+        monkeypatch.setattr(builtins, "open",
+                            lambda *args, **kwargs: opened.append(args))
+        monkeypatch.chdir(tmp_path)
+        segnet, scenario = steady_line_case(eta_s=0.1)
+        result, _, steady_result = solve_transient(segnet, scenario)
+        assert steady_result.success and result.success
+        assert steady_result.log and result.log
+        assert opened == [] and list(tmp_path.iterdir()) == []

@@ -329,6 +329,19 @@ class TestStructure:
                               + (1.0 - p.xi) * econ["compression_cost_usd"])
         assert p.objective(x) == pytest.approx(want, rel=1e-12)
 
+    def test_economics_do_not_depend_on_xi(self):
+        """Dollar figures at a fixed point are the same at every weight,
+        including the ends of the xi range where one cost is unweighted."""
+        econ = []
+        for xi in (0.0, 0.5, 1.0):
+            scenario = short_scenario(xi=xi)
+            p = assemble_nlp(bundled_segnet(scenario), scenario, TimeGrid(1, scenario.dt))
+            econ.append(p.economics(random_point(p)))
+        assert econ[0]["gas_purchase_usd"] > 0.0 and econ[0]["compression_cost_usd"] > 0.0
+        for key in ("gas_purchase_usd", "energy_revenue_usd", "economic_cost_usd",
+                    "compression_cost_usd"):
+            assert econ[0][key] == econ[1][key] == econ[2][key]
+
     def test_export_debug(self, small_problem, tmp_path):
         small_problem.export_debug(tmp_path)
         for name in ("variables.csv", "constraints.csv",
