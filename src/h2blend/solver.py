@@ -15,12 +15,17 @@ acceptance uses the classic filter line search with a second-order
 correction and a Levenberg-Marquardt feasibility restoration as a
 fallback.
 Each iterate is evaluated once, into one record: constraints, Jacobian,
-objective and its gradient, J^T lambda, the bound gaps and the mu-free
-part of the KKT error.  The KKT error, the KKT system, the line search,
-restoration and the iteration log all read that record; restoration
-evaluates each of its own points once.
+objective and its gradient, J^T lambda, the gaps to the finite bounds
+and the mu-free part of the KKT error.  The record of an accepted trial
+point takes the constraints and objective that the line search or the
+second-order correction computed there, so only the start point and
+restoration points are evaluated in full.  The KKT error, the KKT
+system, the line search, restoration and the iteration log all read
+that record; restoration evaluates each of its own points once.  What
+does not depend on the iterate is computed once per solve: the index
+sets of the finite bounds and the constant Jacobian rows.
 The Jacobian and the KKT matrix live on sparsity patterns fixed by their
-first evaluation: the KKT matrix is built on a fixed CSC pattern and
+first evaluation: one CSC matrix per solve holds the KKT matrix and is
 refilled in place for every factorization attempt, and a Hessian or
 Jacobian whose pattern differs from the first is an error.
 """
@@ -111,12 +116,18 @@ class _BarrierProblem:
         self.U = np.concatenate([ub, problem.ineq_ub])
         n_fix = len(self.fix_idx)
         self.m = problem.n_eq + problem.n_ineq + n_fix
-        # the inequality and pinned-variable rows are linear, so built once
-        fix_jac = sp.csr_matrix(
-            (np.ones(n_fix), (np.arange(n_fix), self.fix_idx)), shape=(n_fix, self.n_x))
-        self._const_rows = sp.bmat(
-            [[problem.ineq_jacobian(np.zeros(self.n_x)), -sp.identity(self.n_s, format="csr")],
-             [fix_jac, None]], format="csr")
+        # the inequality rows [P, -I] and the pinned-variable rows are
+        # linear, so built once, straight from the CSR arrays of P: row i
+        # of P gains the slack entry -1 at column n_x + i after its own
+        P = problem.ineq_jacobian(np.zeros(self.n_x))
+        n_s, row_ends = self.n_s, P.indptr[1:]
+        self._const_rows = sp.csr_matrix(
+            (np.concatenate([np.insert(P.data, row_ends, -1.0), np.ones(n_fix)]),
+             np.concatenate([np.insert(P.indices, row_ends, self.n_x + np.arange(n_s)),
+                             self.fix_idx]),
+             np.concatenate([P.indptr + np.arange(n_s + 1),
+                             P.nnz + n_s + np.arange(1, n_fix + 1)])),
+            shape=(n_s + n_fix, self.n_y))
         self._j_eq = None                    # first equality Jacobian (pattern)
         self._j_pattern = None
 
@@ -172,57 +183,75 @@ def _check_pattern(a, first, what):
 
 class _KktMatrix:
     """KKT matrix [[W + diag(d), J^T], [J, -delta_c I]] on a CSC pattern
-    fixed by the first W and J; every build only writes values into it.
-    J comes from _BarrierProblem.jacobian, whose pattern is fixed.
+    fixed by the first W and J.  One CSC matrix ``K`` holds it for the
+    whole solve; every build only writes values into it.  J comes from
+    _BarrierProblem.jacobian, whose pattern is fixed.
 
     ``slot`` maps, in order, W.data, the n diagonal entries d, J.data
     (lower block), J.data again (upper block, J^T) and the m entries
     -delta_c to their places in the pattern.
 
-    The pattern is stored symmetrically permuted: entry (i, j) of a built
-    matrix is entry (q[i], q[j]) of K.  q is the identity until the first
-    factorization succeeds.  That one orders K with COLAMD, the pattern
-    and ``slot`` are permuted once to its column order, q = argsort(perm_c),
+    The pattern is stored symmetrically permuted: entry (i, j) of K is
+    entry (q[i], q[j]) of the KKT matrix, and ``primal`` marks the entries
+    with q < n.  q is the identity until the first factorization succeeds.
+    That one orders K with COLAMD; the next build writes K, the pattern
+    and ``slot`` permuted once to its column order, q = argsort(perm_c),
     and every later factorization takes the stored order as it is."""
 
     def __init__(self, W, J):
         m, n = J.shape
+        self.n = n
         self.size = n + m
         self.W = W
         w_rows = np.repeat(np.arange(W.shape[0]), np.diff(W.indptr))
         j_rows = n + np.repeat(np.arange(m), np.diff(J.indptr))
         diag = np.arange(self.size)
-        self.q = None
-        self._place(np.concatenate([w_rows, diag[:n], j_rows, J.indices, diag[n:]]),
-                    np.concatenate([W.indices, diag[:n], J.indices, j_rows, diag[n:]]))
+        indices, indptr, self.slot = self._place(
+            np.concatenate([w_rows, diag[:n], j_rows, J.indices, diag[n:]]),
+            np.concatenate([W.indices, diag[:n], J.indices, j_rows, diag[n:]]))
+        self.K = sp.csc_matrix((np.zeros(len(indices)), indices, indptr),
+                               shape=(self.size, self.size))
+        self.q = diag
+        self.primal = diag < n
+        self.ordered = False
+        self._ordering = None                # COLAMD order, for the next build
 
     def _place(self, rows, cols):
-        """Pattern and slot map of the listed entries at (rows, cols)."""
+        """CSC indices and indptr of the listed entries at (rows, cols),
+        and their slot map."""
         size = self.size
-        keys, self.slot = np.unique(cols * size + rows, return_inverse=True)
-        self.pattern = sp.csc_matrix(
-            (np.zeros(len(keys)), keys % size,
-             np.searchsorted(keys // size, np.arange(size + 1))), shape=(size, size))
+        keys, slot = np.unique(cols * size + rows, return_inverse=True)
+        return keys % size, np.searchsorted(keys // size, np.arange(size + 1)), slot
 
     def build(self, W, J, d, delta_c):
         _check_pattern(W, self.W, "Lagrangian Hessian")
-        data = np.bincount(self.slot, minlength=self.pattern.nnz, weights=np.concatenate(
+        if self._ordering is not None:
+            (indices, indptr, self.slot), self.q = self._ordering
+            self.K.indices[:], self.K.indptr[:] = indices, indptr
+            self.primal = self.q < self.n
+            self.ordered = True
+            self._ordering = None
+        self.K.data[:] = np.bincount(self.slot, minlength=self.K.nnz, weights=np.concatenate(
             [W.data, d, J.data, J.data, np.full(J.shape[0], -delta_c)]))
-        return sp.csc_matrix((data, self.pattern.indices, self.pattern.indptr),
-                             shape=self.pattern.shape)
+        return self.K
 
     def factor(self, K):
-        """SuperLU factor of a built matrix K, and the order q that K is in."""
-        if self.q is not None:
+        """SuperLU factor of the built matrix K, in K's order q."""
+        if self.ordered:
             return splu(K, permc_spec="NATURAL", options=dict(SymmetricMode=True),
-                        panel_size=_LU_PANEL, relax=_LU_RELAX), self.q
+                        panel_size=_LU_PANEL, relax=_LU_RELAX)
         lu = splu(K, permc_spec="COLAMD", options=dict(SymmetricMode=True))
-        # entry (r, c) moves to (perm_c[r], perm_c[c])
+        # entry (r, c) moves to (perm_c[r], perm_c[c]).  The permuted pattern
+        # is made now, while this factor is alive: arrays that last the whole
+        # solve then lie above the factor's memory in the heap, and with
+        # glibc's malloc later factors reuse that memory instead of faulting
+        # in fresh pages (eight-node transient solve: 2.3k instead of 26k
+        # minor page faults in SuperLU)
         perm = lu.perm_c.astype(np.int64)
-        cols = np.repeat(np.arange(self.size), np.diff(self.pattern.indptr))
-        self._place(perm[self.pattern.indices[self.slot]], perm[cols[self.slot]])
-        self.q = np.argsort(perm)
-        return lu, np.arange(self.size)
+        cols = np.repeat(np.arange(self.size), np.diff(K.indptr))
+        self._ordering = (self._place(perm[K.indices[self.slot]], perm[cols[self.slot]]),
+                          np.argsort(perm))
+        return lu
 
 
 def _ordered_solve(lu, q):
@@ -250,48 +279,48 @@ def _push_inside(y, L, U):
     return y
 
 
-def _clip_dual(z, gap, has_bound, mu):
+def _clip_dual(z, gap, mu):
     """Keep bound multipliers within a factor _KAPPA_SIGMA of mu / gap."""
     gap = np.maximum(gap, 1e-300)
-    return np.clip(z, np.where(has_bound, mu / (_KAPPA_SIGMA * gap), 0.0),
-                   np.where(has_bound, _KAPPA_SIGMA * mu / gap, 0.0))
+    return np.clip(z, mu / (_KAPPA_SIGMA * gap), _KAPPA_SIGMA * mu / gap)
 
 
-def _max_step(y, dy, bound, direction):
-    """Largest alpha in (0, 1] keeping y + alpha*dy on the right side of
-    ``bound`` by the fraction-to-the-boundary margin ``direction``*(y-bound)."""
-    gap = direction * (y - bound)
-    rate = -direction * dy
-    mask = np.isfinite(bound) & (rate > 0.0)
-    if not np.any(mask):
-        return 1.0
-    return float(min(1.0, np.min(gap[mask] / rate[mask])))
+def _max_step(gap, rate):
+    """Largest alpha in (0, 1] with alpha * rate <= gap wherever rate > 0."""
+    pos = rate > 0.0
+    return float(np.min(gap[pos] / rate[pos], initial=1.0))
 
 
 class _InteriorPoint:
     def __init__(self, bp: _BarrierProblem, options: SolverOptions):
         self.bp = bp
         self.opt = options
-        self.has_l = np.isfinite(bp.L)
-        self.has_u = np.isfinite(bp.U)
+        # the finite bounds: their indices and values, fixed per solve
+        self.il = np.flatnonzero(np.isfinite(bp.L))
+        self.iu = np.flatnonzero(np.isfinite(bp.U))
+        self.L = bp.L[self.il]
+        self.U = bp.U[self.iu]
+        self.n_bounds = len(self.il) + len(self.iu)
         self._kkt = None                     # _KktMatrix, from the first build
 
-    def evaluate(self, y, lam, zl, zu):
+    def evaluate(self, y, lam, zl, zu, c=None, f=None):
         """Record of the iterate (y, lam, zl, zu): c, J, f, g, J^T lam, the
-        bound gaps gap_l = y - L and gap_u = U - y (1 where unbounded), the
-        mu-free part err0 of the KKT error with its scalings s_d and s_c,
-        and the KKT error kkt at mu = 0."""
+        gaps gap_l = y - L and gap_u = U - y to the finite bounds, their
+        complementarity products comp, the mu-free part err0 of the KKT
+        error with its scalings s_d and s_c, and the KKT error kkt at
+        mu = 0.  c and f are evaluated unless given (the line search has
+        them at the point it accepts)."""
         bp = self.bp
-        pt = SimpleNamespace(y=y, lam=lam, zl=zl, zu=zu, c=bp.constraints(y),
-                             J=bp.jacobian(y), f=bp.objective(y), g=bp.gradient(y),
-                             gap_l=np.where(self.has_l, y - bp.L, 1.0),
-                             gap_u=np.where(self.has_u, bp.U - y, 1.0))
+        pt = SimpleNamespace(y=y, lam=lam, zl=zl, zu=zu,
+                             c=bp.constraints(y) if c is None else c, J=bp.jacobian(y),
+                             f=bp.objective(y) if f is None else f, g=bp.gradient(y),
+                             gap_l=y[self.il] - self.L, gap_u=self.U - y[self.iu])
         pt.jt_lam = bp.jacobian_t_dot(pt.J, lam)
-        n_mult = len(lam) + self.has_l.sum() + self.has_u.sum()
-        pt.s_d = max(_SMAX, (np.abs(lam).sum() + zl.sum() + zu.sum())
-                     / max(1, n_mult)) / _SMAX
-        pt.s_c = max(_SMAX, (zl.sum() + zu.sum())
-                     / max(1, self.has_l.sum() + self.has_u.sum())) / _SMAX
+        pt.comp = np.concatenate([zl[self.il] * pt.gap_l, zu[self.iu] * pt.gap_u])
+        zl_sum, zu_sum = zl.sum(), zu.sum()
+        pt.s_d = max(_SMAX, (np.abs(lam).sum() + zl_sum + zu_sum)
+                     / max(1, len(lam) + self.n_bounds)) / _SMAX
+        pt.s_c = max(_SMAX, (zl_sum + zu_sum) / max(1, self.n_bounds)) / _SMAX
         pt.err0 = max(np.abs(pt.g + pt.jt_lam - zl + zu).max(initial=0.0) / pt.s_d,
                       np.abs(pt.c).max(initial=0.0))
         pt.kkt = self.kkt_error(pt, 0.0)
@@ -301,21 +330,33 @@ class _InteriorPoint:
 
     def kkt_error(self, pt, mu):
         """Scaled KKT error at the record pt for barrier parameter mu."""
-        comp_l = np.where(self.has_l, pt.zl * pt.gap_l - mu, 0.0)
-        comp_u = np.where(self.has_u, pt.zu * pt.gap_u - mu, 0.0)
-        return max(pt.err0, max(np.abs(comp_l).max(initial=0.0),
-                                np.abs(comp_u).max(initial=0.0)) / pt.s_c)
+        return max(pt.err0, np.abs(pt.comp - mu).max(initial=0.0) / pt.s_c)
 
     def _barrier_value(self, y, f, mu):
         """Barrier function at y, whose objective value is f."""
         if mu > 0.0:
-            f -= mu * np.sum(np.log((y - self.bp.L)[self.has_l]))
-            f -= mu * np.sum(np.log((self.bp.U - y)[self.has_u]))
+            f -= mu * np.sum(np.log(y[self.il] - self.L))
+            f -= mu * np.sum(np.log(self.U - y[self.iu]))
         return f
 
     def _barrier_grad(self, pt, mu):
-        g = pt.g - np.where(self.has_l, mu / pt.gap_l, 0.0)
-        return g + np.where(self.has_u, mu / pt.gap_u, 0.0)
+        g = pt.g.copy()
+        g[self.il] -= mu / pt.gap_l
+        g[self.iu] += mu / pt.gap_u
+        return g
+
+    def _fraction_to_boundary(self, gap_l, gap_u, dy, tau):
+        """Largest alpha in (0, 1] keeping y + alpha*dy within the finite
+        bounds by the fraction-to-the-boundary margin (1 - tau) of the
+        gaps of y."""
+        return min(_max_step(gap_l, -dy[self.il] / tau),
+                   _max_step(gap_u, dy[self.iu] / tau))
+
+    def _on_bounds(self, zl, zu):
+        """Full-length bound multipliers from their values at il and iu."""
+        out_l, out_u = np.zeros(self.bp.n_y), np.zeros(self.bp.n_y)
+        out_l[self.il], out_u[self.iu] = zl, zu
+        return out_l, out_u
 
     # -- KKT solve ----------------------------------------------------------
 
@@ -324,9 +365,12 @@ class _InteriorPoint:
         n = self.bp.n_y
         J = pt.J
         W = self.bp.hessian(pt.y, pt.lam)
-        sigma = np.where(self.has_l, pt.zl / pt.gap_l, 0.0) \
-            + np.where(self.has_u, pt.zu / pt.gap_u, 0.0)
+        sigma = np.zeros(n)
+        sigma[self.il] = pt.zl[self.il] / pt.gap_l
+        sigma[self.iu] += pt.zu[self.iu] / pt.gap_u
         rhs = -np.concatenate([gphi + pt.jt_lam, pt.c])
+        # an inaccurate solve marks the factorization as unreliable
+        res_tol = 1e-7 * (np.abs(rhs).max(initial=0.0) + 1.0)
 
         delta_w = 0.0
         # a small always-on dual regularization keeps the system solvable
@@ -335,10 +379,12 @@ class _InteriorPoint:
         attempts = 0
         if self._kkt is None:
             self._kkt = _KktMatrix(W, J)
+        kkt = self._kkt
         while True:
-            K = self._kkt.build(W, J, sigma + delta_w, delta_c)
+            K = kkt.build(W, J, sigma + delta_w, delta_c)
+            q = kkt.q
             try:
-                lu, q = self._kkt.factor(K)
+                lu = kkt.factor(K)
                 rhs_q = rhs[q]
                 d = lu.solve(rhs_q)
             except RuntimeError:
@@ -347,12 +393,10 @@ class _InteriorPoint:
             ok = d is not None and np.all(np.isfinite(d)) \
                 and np.abs(d).max(initial=0.0) < 1e10
             if ok:
-                # an inaccurate solve marks the factorization as unreliable
-                lin_res = np.abs(K @ d - rhs_q).max(initial=0.0)
-                ok = lin_res <= 1e-7 * (np.abs(rhs).max(initial=0.0) + 1.0)
+                ok = np.abs(K @ d - rhs_q).max(initial=0.0) <= res_tol
             if ok:
                 # curvature dy' H dy from the H block of K ([dy; 0] in K's order)
-                v = np.where(q < n, d, 0.0)
+                v = np.where(kkt.primal, d, 0.0)
                 curv = float(v @ (K @ v))
                 ok = curv >= 1e-11 * float(v @ v)
                 singular = False
@@ -380,7 +424,10 @@ class _InteriorPoint:
 
         Returns (y_new, success).  Success means the violation dropped
         enough to resume the main algorithm.  The Jacobian is evaluated
-        once per accepted point; rejected steps reuse J^T J and J^T c.
+        once per accepted point; rejected steps reuse J^T J and J^T c.  A
+        trial equal to the last point evaluated (a step below rounding, or
+        a bound-limited step whose direction did not change with lm) reuses
+        its constraints.
         """
         bp = self.bp
         y, c, J = pt.y, pt.c, pt.J
@@ -388,6 +435,7 @@ class _InteriorPoint:
         lm = 1e-4
         best = y.copy()
         best_theta = theta0
+        last, c_last = y, c
         JtJ = None
         for _ in range(40):
             theta = np.abs(c).sum()
@@ -405,11 +453,11 @@ class _InteriorPoint:
                 lm *= 10.0
                 continue
             tau = max(_TAU_MIN, 1.0 - mu)
-            a = min(_max_step(y, step, bp.L, 1.0),
-                    _max_step(y, step, bp.U, -1.0))
-            a = min(1.0, tau * a)
+            a = min(1.0, tau * self._fraction_to_boundary(
+                y[self.il] - self.L, self.U - y[self.iu], step, 1.0))
             trial = y + a * step
-            c_trial = bp.constraints(trial)
+            c_trial = c_last if np.array_equal(trial, last) else bp.constraints(trial)
+            last, c_last = trial, c_trial
             if np.abs(c_trial).sum() < theta:
                 y, c, J, JtJ = trial, c_trial, None, None
                 lm = max(1e-8, lm / 3.0)
@@ -434,8 +482,7 @@ class _InteriorPoint:
         y[bp.n_x:] = bp.p.ineq_constraints(x_probe)
         y = _push_inside(y, bp.L, bp.U)
         lam = np.zeros(bp.m)
-        zl = np.where(self.has_l, mu / np.where(self.has_l, y - bp.L, 1.0), 0.0)
-        zu = np.where(self.has_u, mu / np.where(self.has_u, bp.U - y, 1.0), 0.0)
+        zl, zu = self._on_bounds(mu / (y[self.il] - self.L), mu / (self.U - y[self.iu]))
 
         pt = self.evaluate(y, lam, zl, zu)
         log = []
@@ -472,14 +519,14 @@ class _InteriorPoint:
                 break
             if delta_w > 0.0:
                 delta_w_last = delta_w
-            dzl = np.where(self.has_l, (mu - pt.zl * dy) / pt.gap_l - pt.zl, 0.0)
-            dzu = np.where(self.has_u, (mu + pt.zu * dy) / pt.gap_u - pt.zu, 0.0)
+            # bound multiplier steps, on the finite bounds
+            zl, zu = pt.zl[self.il], pt.zu[self.iu]
+            dzl = (mu - zl * dy[self.il]) / pt.gap_l - zl
+            dzu = (mu + zu * dy[self.iu]) / pt.gap_u - zu
 
             tau = max(_TAU_MIN, 1.0 - mu)
-            a_max = min(_max_step(y, dy / tau, bp.L, 1.0),
-                        _max_step(y, dy / tau, bp.U, -1.0))
-            a_z = min(_max_step(pt.zl, dzl / tau, np.where(self.has_l, 0.0, -np.inf), 1.0),
-                      _max_step(pt.zu, dzu / tau, np.where(self.has_u, 0.0, -np.inf), 1.0))
+            a_max = self._fraction_to_boundary(pt.gap_l, pt.gap_u, dy, tau)
+            a_z = min(_max_step(zl, -dzl / tau), _max_step(zu, -dzu / tau))
 
             phi = self._barrier_value(y, pt.f, mu)
             dphi = float(gphi @ dy)
@@ -500,7 +547,8 @@ class _InteriorPoint:
                 trial = y + alpha * dy
                 c_t = bp.constraints(trial)
                 theta_t = np.abs(c_t).sum()
-                phi_t = self._barrier_value(trial, bp.objective(trial), mu)
+                f_t = bp.objective(trial)
+                phi_t = self._barrier_value(trial, f_t, mu)
                 switching = (dphi < 0.0
                              and alpha * (-dphi) ** _S_PHI
                              > (theta ** _S_THETA))
@@ -519,27 +567,23 @@ class _InteriorPoint:
                     soc_done = True
                     c_soc = c_t.copy()
                     theta_old = theta_t
-                    y_soc = None
                     for _ in range(_MAX_SOC):
                         rhs = -np.concatenate([np.zeros(bp.n_y), c_soc])
                         d_cor = kkt_solve(rhs)
                         dy_cor = dy + d_cor[:bp.n_y]
-                        a_soc = min(_max_step(y, dy_cor / tau, bp.L, 1.0),
-                                    _max_step(y, dy_cor / tau, bp.U, -1.0))
+                        a_soc = self._fraction_to_boundary(pt.gap_l, pt.gap_u, dy_cor, tau)
                         y_try = y + min(alpha, a_soc) * dy_cor
                         c_try = bp.constraints(y_try)
                         th_try = np.abs(c_try).sum()
-                        if th_try <= _KAPPA_SOC * theta_old:
-                            if filter_ok(th_try, self._barrier_value(
-                                    y_try, bp.objective(y_try), mu)):
-                                y_soc = y_try
-                                break
-                            c_soc, theta_old = c_try, th_try
-                        else:
+                        if not th_try <= _KAPPA_SOC * theta_old:
                             break
-                    if y_soc is not None:
-                        trial = y_soc
-                        accepted = True
+                        f_try = bp.objective(y_try)
+                        if filter_ok(th_try, self._barrier_value(y_try, f_try, mu)):
+                            trial, c_t, f_t = y_try, c_try, f_try
+                            accepted = True
+                            break
+                        c_soc, theta_old = c_try, th_try
+                    if accepted:
                         break
                 alpha *= 0.5
                 n_backtrack += 1
@@ -560,9 +604,11 @@ class _InteriorPoint:
                     message = "line search failed near a feasible point"
                 break
 
-            pt = self.evaluate(trial, pt.lam + alpha * dlam,
-                               _clip_dual(pt.zl + a_z * dzl, trial - bp.L, self.has_l, mu),
-                               _clip_dual(pt.zu + a_z * dzu, bp.U - trial, self.has_u, mu))
+            pt = self.evaluate(
+                trial, pt.lam + alpha * dlam,
+                *self._on_bounds(_clip_dual(zl + a_z * dzl, trial[self.il] - self.L, mu),
+                                 _clip_dual(zu + a_z * dzu, self.U - trial[self.iu], mu)),
+                c_t, f_t)
             log.append(dict(iteration=it, mu=mu, objective=pt.f,
                             violation=float(np.abs(pt.c).max(initial=0.0)),
                             kkt=pt.kkt, step=alpha, regularization=delta_w))

@@ -329,6 +329,7 @@ class NlpProblem:
         self.mom_dphi[:, 4:] = 0.5 / self.seg_Ah[:, None]
         self.mom_drho = np.zeros(self.mom_cols.shape)
         self.mom_drho[:, :4] = 0.5
+        self.mom_two_area = 2.0 * self.seg_Ah
         self.C_alpha = col("alpha", C)
         self.C_fc = col("fc", C)
         self.boost_cols = np.stack([col("rho_h2", com_i), col("rho_ng", com_i),
@@ -342,9 +343,9 @@ class NlpProblem:
         # lists their values, to its place in the pattern.
         jac_r = np.concatenate([lin_r, self.bil_r, self.bil_r,
                                 np.repeat(rows("momentum", E), 6),
-                                np.repeat(rows("compressor_boost", C), 5)])
+                                np.tile(rows("compressor_boost", C), 5)])
         jac_c = np.concatenate([lin_c, self.bil_p, self.bil_q,
-                                self.mom_cols.ravel(), self.boost_cols.ravel()])
+                                self.mom_cols.ravel(), self.boost_cols.T.ravel()])
         keys, slot = np.unique(jac_r * n + jac_c, return_inverse=True)
         self.jac_slot = slot[len(lin_r):]
         self.jac_const = sp.csr_matrix(
@@ -361,10 +362,25 @@ class NlpProblem:
         # the result is exactly symmetric.
         fric_r = np.repeat(self.mom_cols, 6, axis=1).ravel()
         fric_c = np.tile(self.mom_cols, 6).ravel()
-        self.hess_fric = np.flatnonzero(fric_r >= fric_c)
+        low = fric_r >= fric_c
+        # Entry (a, b) of a friction block is gpp u_a u_b + gpr (u_a w_b +
+        # w_a u_b) + grr w_a w_b (u = mom_dphi, w = mom_drho).  Which entries
+        # are kept, and u and w, depend only on the segment, not on the time
+        # step (all six columns of a row shift with t alike): the factors of
+        # each segment's kept entries, shaped to broadcast over time steps.
+        # Six distinct columns keep 21 entries; a segment whose ends coincide
+        # has fewer distinct columns.
+        kept = np.nonzero(low.reshape(len(segs), N, 36)[:, 0])[1]
+        if len(kept) != 21 * len(segs):
+            raise AssemblyError("a pipe segment starts and ends at the same node")
+        a, b = np.divmod(kept.reshape(len(segs), 21), 6)
+        first = np.arange(len(segs))[:, None] * N
+        u_a, u_b = self.mom_dphi[first, a], self.mom_dphi[first, b]
+        w_a, w_b = self.mom_drho[first, a], self.mom_drho[first, b]
+        self.fric_coef = np.stack([u_a, u_b, u_a * w_b + w_a * u_b, w_a, w_b])[:, :, None, :]
         rh_i, rn_i, rh_j, rn_j, a = self.boost_cols.T
         hess_i, hess_j = (np.concatenate(v) for v in zip(
-            (self.bil_p, self.bil_q), (fric_r[self.hess_fric], fric_c[self.hess_fric]),
+            (self.bil_p, self.bil_q), (fric_r[low], fric_c[low]),
             (rh_j, rh_j), (rh_j, rn_j), (rn_j, rn_j), (rh_i, rh_i), (rh_i, rn_i),
             (rn_i, rn_i), (a, rh_i), (a, rn_i), (a, a), (self.C_fc, a), (a, a)))
         hess_r, hess_c = np.maximum(hess_i, hess_j), np.minimum(hess_i, hess_j)
@@ -401,6 +417,11 @@ class NlpProblem:
         self.obj_qs_cols = col("qs", S)
         self.obj_qs_coef = qs_coef.ravel() * self.obj_scale
         self.obj_ge_coef = ge_coef * self.obj_scale
+        self.obj_ge = slice(idx.base("ge"), idx.base("ge") + len(W) * N)
+        # the gradient of the linear terms
+        self.obj_grad_lin = np.zeros(n)
+        self.obj_grad_lin[self.obj_qs_cols] += self.obj_qs_coef
+        self.obj_grad_lin[self.obj_ge] += self.obj_ge_coef
         self.obj_wc = wc_coef * self.obj_scale
         # dollar coefficients without the xi weights, for reporting
         self.econ_qs_coef = (3600.0 * dt_h * self.flow0 * price).ravel()
@@ -414,7 +435,7 @@ class NlpProblem:
         """Mean flux, its smoothed magnitude and mean density per momentum row."""
         xm = x[self.mom_cols]
         rho_bar = 0.5 * (xm[:, 0] + xm[:, 1] + xm[:, 2] + xm[:, 3])
-        phi = (xm[:, 4] + xm[:, 5]) / (2.0 * self.seg_Ah)
+        phi = (xm[:, 4] + xm[:, 5]) / self.mom_two_area
         return phi, np.sqrt(phi * phi + self.smoothing_eps ** 2), rho_bar
 
     def _boost(self, x):
@@ -443,14 +464,15 @@ class NlpProblem:
         g_phi = self.seg_B * (s_abs + phi ** 2 / s_abs) / rho_bar
         g_rho = -self.seg_B * phi * s_abs / rho_bar ** 2
         cp_i, cp_j, alpha = self._boost(x)
-        d_boost = np.stack([-2.0 * alpha ** 2 * cp_i * self.c_h2,
-                            -2.0 * alpha ** 2 * cp_i * self.c_ng,
-                            2.0 * cp_j * self.c_h2, 2.0 * cp_j * self.c_ng,
-                            -2.0 * alpha * cp_i ** 2], axis=1)
+        # boost derivatives along the inlet and outlet pressures
+        d_in = -2.0 * alpha ** 2 * cp_i
+        d_out = 2.0 * cp_j
         vals = np.concatenate([
             self.bil_v * x[self.bil_q], self.bil_v * x[self.bil_p],
             (g_phi[:, None] * self.mom_dphi + g_rho[:, None] * self.mom_drho).ravel(),
-            d_boost.ravel()])
+            # boost, one column of boost_cols after the other
+            d_in * self.c_h2, d_in * self.c_ng, d_out * self.c_h2, d_out * self.c_ng,
+            -2.0 * alpha * cp_i ** 2])
         J = self.jac_const
         return sp.csr_matrix(
             (J.data + np.bincount(self.jac_slot, weights=vals, minlength=J.nnz),
@@ -467,23 +489,16 @@ class NlpProblem:
     # -- objective ----------------------------------------------------------
 
     def objective(self, x: np.ndarray) -> float:
-        ge = self.index.block(x, "ge")
-        fc = x[self.C_fc]
-        alpha = x[self.C_alpha]
         val = float(np.dot(self.obj_qs_coef, x[self.obj_qs_cols]))
-        val += self.obj_ge_coef * float(ge.sum())
-        val += self.obj_wc * float(np.dot(fc, np.sqrt(alpha) - 1.0))
+        val += self.obj_ge_coef * float(x[self.obj_ge].sum())
+        val += self.obj_wc * float(np.dot(x[self.C_fc], np.sqrt(x[self.C_alpha]) - 1.0))
         return val
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        g = np.zeros(self.index.total)
-        g[self.obj_qs_cols] += self.obj_qs_coef
-        base = self.index.base("ge")
-        g[base:base + len(self.index.withdrawal_ids) * self.grid.n_points] += self.obj_ge_coef
-        alpha = x[self.C_alpha]
-        fc = x[self.C_fc]
-        g[self.C_fc] += self.obj_wc * (np.sqrt(alpha) - 1.0)
-        g[self.C_alpha] += self.obj_wc * fc / (2.0 * np.sqrt(alpha))
+        g = self.obj_grad_lin.copy()
+        sq = np.sqrt(x[self.C_alpha])
+        g[self.C_fc] += self.obj_wc * (sq - 1.0)
+        g[self.C_alpha] += self.obj_wc * x[self.C_fc] / (2.0 * sq)
         return g
 
     def economics(self, x: np.ndarray) -> dict:
@@ -509,37 +524,36 @@ class NlpProblem:
         The values are written into the pattern fixed at assembly, in the
         order of ``hess_slot``.
         """
-        # friction blocks
-        lam3 = lam_eq[self.mom_rows]
+        # friction: the kept lower-half entries of each block
         phi, s_abs, rho_bar = self._friction(x)
         gpp = self.seg_B * (3.0 * phi / s_abs - phi ** 3 / s_abs ** 3) / rho_bar
         gpr = -self.seg_B * (s_abs + phi ** 2 / s_abs) / rho_bar ** 2
         grr = 2.0 * self.seg_B * phi * s_abs / rho_bar ** 3
-        u, w = self.mom_dphi, self.mom_drho
-        block = (gpp[:, None, None] * u[:, :, None] * u[:, None, :]
-                 + gpr[:, None, None] * (u[:, :, None] * w[:, None, :]
-                                         + w[:, :, None] * u[:, None, :])
-                 + grr[:, None, None] * w[:, :, None] * w[:, None, :])
-        block *= lam3[:, None, None]
+        by_time = (-1, self.grid.n_points, 1)          # (segment, time step, entry)
+        u_a, u_b, uw, w_a, w_b = self.fric_coef
+        fric = (gpp.reshape(by_time) * u_a * u_b + gpr.reshape(by_time) * uw
+                + grr.reshape(by_time) * w_a * w_b) * lam_eq[self.mom_rows].reshape(by_time)
+        # boost: out = 2 lam4 at the outlet pressures, inl = -2 lam4 alpha^2
+        # at the inlet ones, r = -4 lam4 alpha cp_i at (alpha, inlet)
         lam4 = lam_eq[self.boost_rows]
         cp_i, _, alpha = self._boost(x)
         cH, cN = self.c_h2, self.c_ng
-        a2 = alpha ** 2
-        fc = x[self.C_fc]
+        out = lam4 * 2.0
+        inl = -lam4 * 2.0 * alpha ** 2
+        r = -lam4 * 4.0 * alpha * cp_i
+        out_h, inl_h = out * cH, inl * cH
         sq = np.sqrt(alpha)
         vals = np.concatenate([
             lam_eq[self.bil_r] * self.bil_v,          # bilinear terms at (p, q)
-            block.ravel()[self.hess_fric],            # friction, lower half
+            fric.ravel(),                             # friction, lower half
             # boost at outlet (rh_j, rh_j), (rh_j, rn_j), (rn_j, rn_j)
-            lam4 * 2.0 * cH * cH, lam4 * 2.0 * cH * cN, lam4 * 2.0 * cN * cN,
+            out_h * cH, out_h * cN, out * cN * cN,
             # boost at inlet (rh_i, rh_i), (rh_i, rn_i), (rn_i, rn_i)
-            -lam4 * 2.0 * a2 * cH * cH, -lam4 * 2.0 * a2 * cH * cN,
-            -lam4 * 2.0 * a2 * cN * cN,
+            inl_h * cH, inl_h * cN, inl * cN * cN,
             # boost (alpha, rh_i), (alpha, rn_i), (alpha, alpha)
-            -lam4 * 4.0 * alpha * cp_i * cH, -lam4 * 4.0 * alpha * cp_i * cN,
-            -lam4 * 2.0 * cp_i ** 2,
+            r * cH, r * cN, -lam4 * 2.0 * cp_i ** 2,
             # objective curvature (fc, alpha), (alpha, alpha)
-            self.obj_wc / (2.0 * sq), -self.obj_wc * fc / (4.0 * alpha * sq)])
+            self.obj_wc / (2.0 * sq), -self.obj_wc * x[self.C_fc] / (4.0 * alpha * sq)])
         H = self.hess_pattern
         return sp.csr_matrix(
             (np.bincount(self.hess_slot, minlength=H.nnz,

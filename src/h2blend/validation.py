@@ -144,7 +144,10 @@ def lag_analysis(trajectory: SolutionTrajectory, upstream: str,
 
     Uses circular cross-correlation of the mean-removed series; the lag is
     mapped to [-T/2, T/2) and is positive when the downstream series lags.
-    Returns None when either series is constant (lag undefined).
+    A series that repeats within the horizon correlates equally at several
+    lags, up to rounding: among the lags within a relative 1e-9 of the
+    largest correlation, the shortest is returned (the positive one of a
+    tie).  Returns None when either series is constant (lag undefined).
     """
     up = trajectory.node_series(upstream, "eta")
     down = trajectory.node_series(downstream, "eta")
@@ -154,13 +157,12 @@ def lag_analysis(trajectory: SolutionTrajectory, upstream: str,
         return None
     N = len(up)
     cc = np.array([float(np.dot(np.roll(up, k), down)) for k in range(N)])
-    k_best = int(np.argmax(cc))
     dt = trajectory.dt_hours
-    lag = k_best * dt
     period = N * dt
-    if lag >= period / 2.0:
-        lag -= period
-    return lag
+    lags = np.arange(N) * dt
+    lags = np.where(lags >= period / 2.0, lags - period, lags)
+    best = np.flatnonzero(cc >= cc.max() - 1e-9 * abs(cc.max()))
+    return float(lags[best[np.argmin(np.abs(lags[best]))]])
 
 
 def flow_direction_audit(trajectory: SolutionTrajectory,

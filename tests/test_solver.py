@@ -16,6 +16,7 @@ from h2blend.solver import (
     SolverOptions,
     _BarrierProblem,
     _InteriorPoint,
+    _KktMatrix,
     replicate_steady,
     solve_nlp,
     solve_steady,
@@ -237,6 +238,35 @@ class TestFixedKktPattern:
                 direct = lu.solve(b)
                 assert np.abs(x - direct).max() <= 1e-10 * np.abs(direct).max()
 
+    def test_kkt_matrix_is_refilled_in_place(self, kkt_factorizations, monkeypatch):
+        """Every build of a solve returns the one CSC matrix of that solve,
+        and each factor still solves the system it was computed for after
+        the matrix has been refilled with later values."""
+        built = []
+        build = _KktMatrix.build
+
+        def recorded_build(self, *args):
+            K = build(self, *args)
+            built.append(K)
+            return K
+
+        monkeypatch.setattr(_KktMatrix, "build", recorded_build)
+        segnet, scenario = steady_line_case(profiles={
+            "N1": {"type": "sinusoid", "eta0": 0.1, "delta": 0.05}})
+        steady = solve_steady(segnet, scenario)
+        assert steady[0].success
+        assert len(built) >= 4 and all(K is built[0] for K in built)
+        assert len(kkt_factorizations) == len(built)
+        K = built[0]
+        rng = np.random.default_rng(0)
+        # every factorization but the last was followed by a refill
+        for _, A, lu in kkt_factorizations[:-1]:
+            assert not np.array_equal(A.data, K.data)
+            b = rng.standard_normal(A.shape[0])
+            assert np.abs(A @ lu.solve(b) - b).max() <= 1e-7 * (np.abs(b).max() + 1.0)
+        # the COLAMD factorization's matrix was in the original order
+        assert not np.array_equal(kkt_factorizations[0][1].indices, K.indices)
+
     def test_changed_hessian_pattern_raises(self):
         class ChangingHessian(QuadraticProblem):
             calls = 0
@@ -358,6 +388,29 @@ class TestOneEvaluationPerIterate:
         assert result.status == "infeasible"
         assert calls["evaluate"] > 0
         assert calls["jacobian_t_dot"] == calls["evaluate"]
+
+    def test_accepted_point_is_not_evaluated_again(self, monkeypatch):
+        """The record of an accepted trial point takes the constraints and
+        objective that the line search computed there, and restoration
+        does not repeat a point: no two consecutive constraint evaluations
+        are at the same point, on converged solves and on a solve that
+        ends in restoration."""
+        points = []
+        eq_constraints = NlpProblem.eq_constraints
+
+        def recorded_eq_constraints(self, x):
+            points.append(x.tobytes())
+            return eq_constraints(self, x)
+
+        monkeypatch.setattr(NlpProblem, "eq_constraints", recorded_eq_constraints)
+        segnet, scenario = steady_line_case()
+        result, _, steady_result = solve_transient(segnet, scenario)
+        assert steady_result.success and result.success
+        n_converged = len(points)
+        result, _, _ = solve_transient(*restoration_line_case())
+        assert result.status == "infeasible"
+        assert 0 < n_converged < len(points)
+        assert all(a != b for a, b in zip(points, points[1:]))
 
     def test_restoration_evaluates_each_point_once(self, monkeypatch):
         """A line case whose transient solve ends in restoration: the

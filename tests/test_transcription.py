@@ -1,10 +1,12 @@
+import copy
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import line_network, short_scenario
+from conftest import LINE_NETWORK_DOC, line_network, short_scenario
 from h2blend.cli import bundled_path
-from h2blend.network import load_network, segment_pipes
+from h2blend.network import load_network, parse_network, segment_pipes
 from h2blend.transcription import (
     AssemblyError,
     ConfigurationError,
@@ -85,6 +87,15 @@ class TestAssemblyErrors:
         grid = build_time_grid(scenario.T_f, scenario.dt)
         with pytest.raises(AssemblyError,
                            match=rf"profiles\['{node_id}'\]: not a supply node"):
+            assemble_nlp(segnet, scenario, grid)
+
+    def test_pipe_segment_from_a_node_to_itself(self):
+        doc = copy.deepcopy(LINE_NETWORK_DOC)
+        doc["pipes"].append({"id": "P9", "from": "N3", "to": "N3", "L": 10000.0, "D": 0.9})
+        scenario = short_scenario()
+        segnet = segment_pipes(parse_network(doc), scenario.dL)
+        grid = build_time_grid(scenario.T_f, scenario.dt)
+        with pytest.raises(AssemblyError, match="starts and ends at the same node"):
             assemble_nlp(segnet, scenario, grid)
 
 

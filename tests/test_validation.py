@@ -60,6 +60,15 @@ class TestLagAnalysis:
         tr = synthetic_trajectory(shift_steps=3)
         assert lag_analysis(tr, "B", "A") == pytest.approx(-3.0)
 
+    def test_aliased_lags_resolve_to_the_shortest(self):
+        """A series repeating twice per horizon correlates equally at lags
+        half a horizon apart; the downstream one leads by one step."""
+        tr = synthetic_trajectory(N=24)
+        cycle = 0.1 + 0.05 * np.sin(2.0 * np.pi * np.arange(12) / 12)
+        up = np.tile(cycle, 2)
+        tr.eta[:] = np.vstack([up, np.roll(up, -1)])
+        assert lag_analysis(tr, "A", "B") == -1.0
+
     def test_constant_series_has_no_lag(self):
         tr = synthetic_trajectory()
         tr.eta[1, :] = 0.1
