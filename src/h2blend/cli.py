@@ -133,6 +133,10 @@ def _write_log(result, path: Path):
 
 def run(args) -> int:
     out_dir = Path(args.out or os.environ.get("H2BLEND_OUT", "h2blend_out"))
+    if not 0.0 < args.tol < float("inf"):
+        print(f"error: --tol must be positive and finite, got {args.tol}",
+              file=sys.stderr)
+        return EXIT_PARSE
     try:
         net, scenario = _load_inputs(args)
     except (ParseError, ConfigurationError, json.JSONDecodeError) as exc:
@@ -158,7 +162,12 @@ def run(args) -> int:
             print(f"error: cannot read solution from {out_dir}: {exc}",
                   file=sys.stderr)
             return EXIT_PARSE
-        report = _audit(trajectory, segnet, scenario, args.tol, out_dir)
+        try:
+            report = _audit(trajectory, segnet, scenario, args.tol, out_dir)
+        except ValueError as exc:            # written for another network or grid
+            print(f"error: solution in {out_dir} does not fit the inputs: {exc}",
+                  file=sys.stderr)
+            return EXIT_PARSE
         return EXIT_OK if report.passed else EXIT_AUDIT
 
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -115,12 +115,15 @@ def _objects(document: dict, key: str) -> list[dict]:
 
 def _number(value, where: str, key: str) -> float:
     """``value`` as a float; ParseError naming ``where`` and ``key`` if it is
-    missing or not a number."""
+    missing, not a number or not finite (Python's json reads NaN and
+    Infinity, which JSON itself does not have)."""
     _require(value is not None, where, f"{key} is missing")
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError):
         raise ParseError(f"{where}: {key} must be a number, got {value!r}") from None
+    _require(math.isfinite(number), where, f"{key} must be finite, got {value!r}")
+    return number
 
 
 def parse_network(document: dict) -> Network:

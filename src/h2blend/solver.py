@@ -643,37 +643,6 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray,
 # Problem-level drivers
 
 
-def _nearest_supply(problem: NlpProblem) -> dict:
-    """Multi-source BFS over the segmented graph: maps every node id to
-    (supply id, supply concentration at t=0).  Ties resolve to the supply
-    listed first, so the result is deterministic."""
-    idx = problem.index
-    adjacency: dict = {nid: [] for nid in idx.node_ids}
-    for s in problem.segnet.segments:
-        adjacency[s.from_node].append(s.to_node)
-        adjacency[s.to_node].append(s.from_node)
-    for c in problem.segnet.compressors:
-        adjacency[c.from_node].append(c.to_node)
-        adjacency[c.to_node].append(c.from_node)
-    assigned = {}
-    queue = []
-    for k, nid in enumerate(idx.supply_ids):
-        assigned[nid] = (nid, float(problem.eta_s[k, 0]))
-        queue.append(nid)
-    while queue:
-        nxt = []
-        for nid in queue:
-            for nb in adjacency[nid]:
-                if nb not in assigned:
-                    assigned[nb] = (assigned[nid][0], assigned[nid][1])
-                    nxt.append(nb)
-        queue = nxt
-    eta0 = float(problem.eta_s[0, 0]) if problem.eta_s.size else 0.0
-    for nid in idx.node_ids:
-        assigned.setdefault(nid, ("", eta0))
-    return assigned
-
-
 def _steady_initial_point(problem: NlpProblem) -> np.ndarray:
     """Heuristic strictly-interior starting point for the steady problem.
 
@@ -683,73 +652,70 @@ def _steady_initial_point(problem: NlpProblem) -> np.ndarray:
     pressure; withdrawals target full energy delivery served by their
     nearest supply; pipe and compressor flows solve the linear balance in
     the least-squares sense.
+
+    Nearest means fewest flows away, found by a breadth-first search from
+    all supplies at once; a tie goes to the supply listed first, and a node
+    no supply reaches takes the first supply's concentration.
     """
     idx = problem.index
-    segnet = problem.segnet
     x = np.zeros(idx.total)
-    nearest = _nearest_supply(problem)
+    n_nodes, n_sup = len(idx.node_ids), len(problem.supply_pos)
+    adjacent = [[] for _ in range(n_nodes)]
+    for i, j in zip(problem.flow_from.tolist(), problem.flow_to.tolist()):
+        adjacent[i].append(j)
+        adjacent[j].append(i)
+    # near[k]: the supply nearest to node k, n_sup while none has reached it;
+    # each level lists its nodes in supply order, so a tie goes to the first
+    near = [n_sup] * n_nodes
+    level = problem.supply_pos.tolist()
+    for k, i in enumerate(level):
+        near[i] = k
+    while level:
+        reached = []
+        for i in level:
+            for j in adjacent[i]:
+                if near[j] == n_sup:
+                    near[j] = near[i]
+                    reached.append(j)
+        level = reached
+    near = np.array(near, dtype=int)
+    eta_sup = problem.eta_s[:, 0]
+    eta_node = np.append(eta_sup, eta_sup[:1] if n_sup else 0.0)[near]
     p_hat = float(problem.K_p[0]) if len(problem.K_p) else 4.0
-    eta_node = np.array([nearest[nid][1] for nid in idx.node_ids])
     rho_tot = p_hat / (problem.c_h2 * eta_node + problem.c_ng * (1.0 - eta_node))
     idx.block(x, "rho_h2")[:] = (eta_node * rho_tot)[:, None]
     idx.block(x, "rho_ng")[:] = ((1.0 - eta_node) * rho_tot)[:, None]
     idx.block(x, "eta")[:] = eta_node[:, None]
-    if len(idx.compressor_ids):
-        idx.block(x, "alpha")[:] = 1.0
+    idx.block(x, "alpha")[:] = 1.0
 
-    nodes = idx.node_ids
-    pos = idx.node_pos
-    n_nodes = len(nodes)
-    node_objs = {n.id: n for n in segnet.nodes}
-    qw = np.zeros(len(idx.withdrawal_ids))
-    ge = np.zeros(len(idx.withdrawal_ids))
-    qs = np.zeros(len(idx.supply_ids))
-    sup_pos = {nid: k for k, nid in enumerate(idx.supply_ids)}
-    r = problem.heat_ratio
-    for k, nid in enumerate(idx.withdrawal_ids):
-        node = node_objs[nid]
-        target = node.gE_fixed if node.gE_fixed is not None else node.gE_max
-        eta_w = eta_node[pos[nid]]
-        ge[k] = target / problem.energy0
-        qw[k] = ge[k] / ((r - 1.0) * eta_w + 1.0)
-        source = nearest[nid][0]
-        if source in sup_pos:
-            qs[sup_pos[source]] += qw[k]
-    if len(qs):
-        qs = np.minimum(qs, problem.scenario.qs_max / problem.flow0)
+    # withdrawals take their upper energy bound (gE_fixed or gE_max), each
+    # served by its nearest supply up to the supply cap
+    wd = problem.withdrawal_pos
+    ge = idx.block(problem.ub, "ge")[:, 0]
+    qw = ge / ((problem.heat_ratio - 1.0) * eta_node[wd] + 1.0)
+    qs_max = idx.block(problem.ub, "qs")[:, 0]
+    qs = np.minimum(np.bincount(near[wd], weights=qw, minlength=n_sup + 1)[:n_sup], qs_max)
+    if n_sup:
         # balance any remainder through the first slack supply
         deficit = qw.sum() - qs.sum()
         if abs(deficit) > 0.0:
-            qs[0] = np.clip(qs[0] + deficit, 0.0,
-                            problem.scenario.qs_max / problem.flow0)
+            qs[0] = np.clip(qs[0] + deficit, 0.0, qs_max[0])
 
-    n_flow = len(segnet.segments) + len(segnet.compressors)
+    n_flow = len(problem.flow_to)
     A = np.zeros((n_nodes, n_flow))
-    for e, s in enumerate(segnet.segments):
-        A[pos[s.to_node], e] += 1.0
-        A[pos[s.from_node], e] -= 1.0
-    base = len(segnet.segments)
-    for e, c in enumerate(segnet.compressors):
-        A[pos[c.to_node], base + e] += 1.0
-        A[pos[c.from_node], base + e] -= 1.0
+    A[problem.flow_to, np.arange(n_flow)] += 1.0
+    A[problem.flow_from, np.arange(n_flow)] -= 1.0
     b = np.zeros(n_nodes)
-    for k, nid in enumerate(idx.withdrawal_ids):
-        b[pos[nid]] += qw[k]
-    for k, nid in enumerate(idx.supply_ids):
-        b[pos[nid]] -= qs[k]
+    b[wd] = qw
+    b[problem.supply_pos] -= qs
     u = np.linalg.lstsq(A, b, rcond=None)[0]
-    nseg = len(segnet.segments)
+    nseg = len(idx.segment_ids)
     idx.block(x, "f0")[:] = u[:nseg, None]
     idx.block(x, "fl")[:] = u[:nseg, None]
-    if len(segnet.compressors):
-        fc = u[nseg:nseg + len(segnet.compressors)]
-        ub = np.array([c.fc_max / problem.flow0 for c in segnet.compressors])
-        idx.block(x, "fc")[:] = np.clip(fc, 0.0, ub)[:, None]
-    if len(idx.supply_ids):
-        idx.block(x, "qs")[:] = qs[:, None]
-    if len(idx.withdrawal_ids):
-        idx.block(x, "qw")[:] = qw[:, None]
-        idx.block(x, "ge")[:] = ge[:, None]
+    idx.block(x, "fc")[:] = np.clip(u[nseg:], 0.0, idx.block(problem.ub, "fc")[:, 0])[:, None]
+    idx.block(x, "qs")[:] = qs[:, None]
+    idx.block(x, "qw")[:] = qw[:, None]
+    idx.block(x, "ge")[:] = ge[:, None]
     return x
 
 

@@ -212,6 +212,11 @@ class NlpProblem:
         com_j = at(c.to_node for c in comps)
         sup_pos = at(idx.supply_ids)
         wd_pos = at(idx.withdrawal_ids)
+        # node positions at both ends of every flow (segments, then
+        # compressors) and of the supplies and withdrawals
+        self.flow_from = np.concatenate([seg_i, com_i])
+        self.flow_to = np.concatenate([seg_j, com_j])
+        self.supply_pos, self.withdrawal_pos = sup_pos, wd_pos
         E, C = np.arange(len(segs)), np.arange(len(comps))
         S, W = np.arange(len(sup_pos)), np.arange(len(wd_pos))
         all_nodes = np.arange(len(nodes))
@@ -234,12 +239,19 @@ class NlpProblem:
         self.press_pos = np.array([k for k in all_nodes if k not in slack_set], dtype=int)
 
         # --- equality rows --------------------------------------------------
-        self.family_names = ["continuity_h2", "continuity_ng", "momentum",
-                             "compressor_boost", "mass_balance", "species_balance",
-                             "concentration", "slack_pressure", "energy"]
-        family_entities = [E, E, E, C, all_nodes, self.species_nodes, all_nodes,
-                           self.slack_pos, W]
-        self.family_sizes = [len(ents) * N for ents in family_entities]
+        # each row family, in row order, with the ids of its entities
+        node_ids = idx.node_ids
+        self.family_ids = {
+            "continuity_h2": idx.segment_ids, "continuity_ng": idx.segment_ids,
+            "momentum": idx.segment_ids, "compressor_boost": idx.compressor_ids,
+            "mass_balance": node_ids,
+            "species_balance": [node_ids[k] for k in self.species_nodes],
+            "concentration": node_ids,
+            "slack_pressure": [node_ids[k] for k in self.slack_pos],
+            "energy": idx.withdrawal_ids,
+        }
+        self.family_names = list(self.family_ids)
+        self.family_sizes = [len(ids) * N for ids in self.family_ids.values()]
         self.row_offset = np.concatenate([[0], np.cumsum(self.family_sizes)])
         self.n_eq = int(self.row_offset[-1])
         first_row = dict(zip(self.family_names, self.row_offset))
@@ -563,25 +575,9 @@ class NlpProblem:
     # -- bookkeeping --------------------------------------------------------
 
     def eq_names(self) -> list[str]:
-        names = []
         N = self.grid.n_points
-        nodes = self.index.node_ids
-        fam_entities = {
-            "continuity_h2": self.index.segment_ids,
-            "continuity_ng": self.index.segment_ids,
-            "momentum": self.index.segment_ids,
-            "compressor_boost": self.index.compressor_ids,
-            "mass_balance": nodes,
-            "species_balance": [nodes[k] for k in self.species_nodes],
-            "concentration": nodes,
-            "slack_pressure": [nodes[k] for k in self.slack_pos],
-            "energy": self.index.withdrawal_ids,
-        }
-        for fam in self.family_names:
-            for eid in fam_entities[fam]:
-                for t in range(N):
-                    names.append(f"{fam}[{eid},{t}]")
-        return names
+        return [f"{fam}[{eid},{t}]" for fam, ids in self.family_ids.items()
+                for eid in ids for t in range(N)]
 
     def ineq_names(self) -> list[str]:
         N = self.grid.n_points

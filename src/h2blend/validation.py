@@ -68,7 +68,14 @@ class AuditReport:
 
 def _rebuild_problem(trajectory: SolutionTrajectory, segnet: SegmentedNetwork,
                      scenario: Scenario) -> NlpProblem:
-    grid = TimeGrid(n_points=trajectory.n_steps, dt=scenario.dt)
+    n_steps = trajectory.n_steps
+    if n_steps not in (1, scenario.n_steps):
+        raise ValueError(f"trajectory has {n_steps} time steps, the scenario "
+                         f"{scenario.n_steps}")
+    if n_steps > 1 and trajectory.dt_hours != scenario.dt:
+        raise ValueError(f"trajectory time step {trajectory.dt_hours} h differs "
+                         f"from the scenario's {scenario.dt} h")
+    grid = TimeGrid(n_points=n_steps, dt=scenario.dt)
     problem = assemble_nlp(segnet, scenario, grid, smoothing_eps=0.0)
     if list(problem.index.node_ids) != list(trajectory.node_ids):
         raise ValueError("trajectory nodes do not match the segmented network")

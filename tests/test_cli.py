@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 
 import pytest
 
@@ -64,6 +65,34 @@ class TestArgumentsAndExitCodes:
         assert run_cli("--network", net_path, "--scenario", scn_path,
                        "--out", tmp_path / "out") == 2
         assert "profiles['N9']: not a supply node" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, edit", [
+        (("--tol", 0), None), (("--tol", -1), None), (("--tol", "nan"), None),
+        (("--tol", "inf"), None), (("--dt", "nan"), None), (("--dt", "inf"), None),
+        (("--dl", "inf"), None),
+        ((), ("scenario", "dt_hours", math.nan)),
+        ((), ("scenario", "qs_max", math.inf)),
+        ((), ("pipe", "L", math.inf)),
+    ], ids=["tol-0", "tol-negative", "tol-nan", "tol-inf", "dt-nan", "dt-inf",
+            "dl-inf", "dt_hours-NaN", "qs_max-Infinity", "L-Infinity"])
+    def test_non_finite_or_non_positive_number(self, tmp_path, case_files, capsys,
+                                               args, edit):
+        """Python's json writes and reads NaN and Infinity; both are input
+        errors, as are a tolerance that is not positive and finite."""
+        net_path, scn_path = case_files
+        if edit is not None:
+            where, key, value = edit
+            if where == "scenario":
+                doc = copy.deepcopy(SHORT_SCENARIO_DOC)
+                doc[key] = value
+                scn_path.write_text(json.dumps(doc))
+            else:
+                doc = copy.deepcopy(LINE_NETWORK_DOC)
+                doc["pipes"][0][key] = value
+                net_path.write_text(json.dumps(doc))
+        assert run_cli("--network", net_path, "--scenario", scn_path,
+                       "--out", tmp_path / "out", "--mode", "steady", *args) == 2
+        assert "finite, got" in capsys.readouterr().err
 
     def test_bad_topology(self, tmp_path, case_files):
         net_path, scn_path = case_files
@@ -140,6 +169,14 @@ class TestTransientAndOverrides:
         assert (out / "nodes.csv").exists()
 
 
+@pytest.fixture(scope="module")
+def single_pipe_out(tmp_path_factory):
+    """Output of the bundled single-pipe case: 48 steps of 0.5 h."""
+    out = tmp_path_factory.mktemp("single_pipe")
+    assert run_cli("--case", "single-pipe", "--out", out) == 0
+    return out
+
+
 class TestValidateOnly:
     def test_revalidates_written_solution(self, tmp_path, case_files):
         net_path, scn_path = case_files
@@ -167,3 +204,14 @@ class TestValidateOnly:
         (out / "nodes.csv").write_text("\n".join(nodes) + "\n")
         assert run_cli("--network", net_path, "--scenario", scn_path,
                        "--out", out, "--mode", "validate-only") == 5
+
+    def test_solution_of_another_network(self, single_pipe_out, capsys):
+        # eight-node at dt 0.5 h has the same grid, but other nodes
+        assert run_cli("--case", "eight-node", "--dt", 0.5, "--out", single_pipe_out,
+                       "--mode", "validate-only") == 2
+        assert "trajectory nodes do not match" in capsys.readouterr().err
+
+    def test_solution_on_another_grid(self, single_pipe_out, capsys):
+        assert run_cli("--case", "single-pipe", "--dt", 1.0, "--out", single_pipe_out,
+                       "--mode", "validate-only") == 2
+        assert "trajectory has 48 time steps, the scenario 24" in capsys.readouterr().err

@@ -17,6 +17,8 @@ from h2blend.solver import (
     _BarrierProblem,
     _InteriorPoint,
     _KktMatrix,
+    _push_inside,
+    _steady_initial_point,
     replicate_steady,
     solve_nlp,
     solve_steady,
@@ -428,6 +430,66 @@ class TestOneEvaluationPerIterate:
         assert result.message == \
             "restoration stalled at constraint violation 6.095e-02"
         assert len(points) == len(set(points))
+
+
+def two_supply_network(first_supply="S1"):
+    """Slack S1 (eta_s 0.1) and injection S2 (0.3), each one pipe away from
+    junction J, a pipe J-W to withdrawal W, and an isolated junction U;
+    ``first_supply`` is listed first."""
+    supplies = [{"id": "S1", "role": "slack", "p_slack": 5.0e6, "eta_s": 0.1},
+                {"id": "S2", "role": "injection", "eta_s": 0.3}]
+    if first_supply == "S2":
+        supplies.reverse()
+    pipe = dict(L=10000.0, D=0.9144)
+    return parse_network({
+        "nodes": supplies + [{"id": "J", "role": "junction"},
+                             {"id": "W", "role": "withdrawal", "gE_max": 8000.0},
+                             {"id": "U", "role": "junction"}],
+        "pipes": [{"id": "P1", "from": "S1", "to": "J", **pipe},
+                  {"id": "P2", "from": "S2", "to": "J", **pipe},
+                  {"id": "P3", "from": "J", "to": "W", **pipe}]})
+
+
+class TestSteadyStartPoint:
+    @pytest.mark.parametrize("first_supply, eta_first", [("S1", 0.1), ("S2", 0.3)])
+    def test_nearest_supply_ties_and_unreached_nodes(self, first_supply, eta_first):
+        """J is one pipe from each supply: the tie goes to the supply listed
+        first, and so does W behind it; U, which no supply reaches, takes the
+        first supply's concentration.  Only that supply serves W."""
+        scenario = short_scenario()
+        segnet = segment_pipes(two_supply_network(first_supply), scenario.dL)
+        problem = assemble_nlp(segnet, scenario, TimeGrid(1, scenario.dt))
+        x = _steady_initial_point(problem)
+        idx = problem.index
+        eta = dict(zip(idx.node_ids, idx.block(x, "eta")[:, 0]))
+        assert eta == {"S1": 0.1, "S2": 0.3, "J": eta_first, "W": eta_first,
+                       "U": eta_first}
+        qw = idx.block(x, "qw")[0, 0]
+        assert qw > 0.0
+        assert idx.block(x, "qs")[:, 0].tolist() == [qw, 0.0]
+
+
+class TestRestoration:
+    def test_restore_succeeds_from_the_steady_start_point(self):
+        """Restoration alone, from the record of the solver's start point on
+        the steady line case: it reports success and halves the summed
+        violation."""
+        segnet, scenario = steady_line_case()
+        problem = assemble_nlp(segnet, scenario, TimeGrid(1, scenario.dt))
+        bp = _BarrierProblem(problem)
+        ip = _InteriorPoint(bp, SolverOptions())
+        # the start point as _InteriorPoint.solve makes it, at mu = 0.1
+        x0 = _steady_initial_point(problem)
+        y = np.concatenate([x0, problem.ineq_constraints(
+            _push_inside(x0, bp.L[:bp.n_x], bp.U[:bp.n_x]))])
+        y = _push_inside(y, bp.L, bp.U)
+        mu = 0.1
+        zl, zu = ip._on_bounds(mu / (y[ip.il] - ip.L), mu / (ip.U - y[ip.iu]))
+        pt = ip.evaluate(y, np.zeros(bp.m), zl, zu)
+        assert np.abs(pt.c).sum() == pytest.approx(2.410, abs=5e-4)
+        y_new, ok = ip._restore(pt, mu)
+        assert ok
+        assert np.abs(bp.constraints(y_new)).sum() == pytest.approx(1.277, abs=5e-4)
 
 
 class TestTransient:
