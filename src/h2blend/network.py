@@ -22,6 +22,12 @@ from .physics import (
 )
 
 ROLES = ("slack", "injection", "withdrawal", "junction")
+# Discretization limits.  The steady start point solves a dense nodes x
+# flows system, which grows with the square of the segment count (32 MB at
+# 2,000 segments); the finest grids of the refinement ladder need 60
+# segments and 240 time steps.
+MAX_SEGMENTS = 2000
+MAX_TIME_STEPS = 10000
 
 
 class ParseError(ValueError):
@@ -299,7 +305,8 @@ class SegmentedNetwork:
 
 
 def segment_pipes(net: Network, dL: float) -> SegmentedNetwork:
-    """Split every pipe into ceil(L/dL) equal-length segments.
+    """Split every pipe into ceil(L/dL) equal-length segments; a dL that
+    would make more than MAX_SEGMENTS segments is a ValueError.
 
     Auxiliary node ids are deterministic: ``<pipe id>.<segment index>``.
     Auxiliary nodes are junctions carrying the parent pipe's endpoint
@@ -308,10 +315,16 @@ def segment_pipes(net: Network, dL: float) -> SegmentedNetwork:
     """
     if dL <= 0.0:
         raise ValueError(f"segmentation length must be positive, got {dL}")
+    quotients = [pipe.L / dL for pipe in net.pipes]
+    # each quotient is compared before math.ceil, which fails on an
+    # infinite one (a dL near the smallest positive float)
+    counts = [max(1, math.ceil(q - 1e-12)) for q in quotients if q <= MAX_SEGMENTS]
+    if len(counts) < len(quotients) or sum(counts) > MAX_SEGMENTS:
+        raise ValueError(f"segmentation length {dL} m would split the pipes into "
+                         f"more than {MAX_SEGMENTS} segments")
     nodes = list(net.nodes)
     segments: list[Segment] = []
-    for pipe in net.pipes:
-        count = max(1, math.ceil(pipe.L / dL - 1e-12))
+    for pipe, count in zip(net.pipes, counts):
         seg_len = pipe.L / count
         frm_node = net.node(pipe.from_node)
         to_node = net.node(pipe.to_node)
@@ -408,6 +421,10 @@ class Scenario:
         if self.T_f <= 0.0 or self.dt <= 0.0:
             raise ParseError(f"scenario: horizon and dt must be positive")
         ratio = self.T_f / self.dt
+        # compared before round, which fails on an infinite ratio
+        if ratio > MAX_TIME_STEPS + 0.5:
+            raise ParseError(f"scenario: dt={self.dt} h gives more than "
+                             f"{MAX_TIME_STEPS} time steps over the horizon {self.T_f} h")
         if abs(ratio - round(ratio)) > 1e-9:
             raise ParseError(
                 f"scenario: dt={self.dt} h does not divide the horizon {self.T_f} h"

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -43,6 +44,9 @@ class SolutionTrajectory:
     gE: np.ndarray                           # MJ/s
     economics: dict = field(default_factory=dict)
     dt_hours: float = 0.0
+    # the problem from_solution read, which the audits reuse; None for a
+    # trajectory read from disk
+    problem: Optional[NlpProblem] = field(default=None, compare=False, repr=False)
 
     @property
     def n_steps(self) -> int:
@@ -76,6 +80,7 @@ class SolutionTrajectory:
             gE=idx.block(x, "ge") * problem.energy0,
             economics=problem.economics(x),
             dt_hours=problem.grid.dt,
+            problem=problem,
         )
 
     def to_variables(self, problem: NlpProblem) -> np.ndarray:

@@ -25,9 +25,15 @@ that record; restoration evaluates each of its own points once.  What
 does not depend on the iterate is computed once per solve: the index
 sets of the finite bounds and the constant Jacobian rows.
 The Jacobian and the KKT matrix live on sparsity patterns fixed by their
-first evaluation: one CSC matrix per solve holds the KKT matrix and is
-refilled in place for every factorization attempt, and a Hessian or
-Jacobian whose pattern differs from the first is an error.
+first evaluation: an iterate keeps only the Jacobian's values, one CSC
+matrix per solve holds the KKT matrix and is refilled in place for every
+factorization attempt, and a Hessian or Jacobian whose pattern differs
+from the first is an error.  Every KKT factorization, the first one's
+included, uses SuperLU with one-column panels.
+solve_steady and solve_transient return the problem they solved; a
+trajectory read from it keeps that problem, so the post-solve audit
+re-evaluates feasibility with the exact |phi| on the solve's own NLP
+instead of assembling it again.
 """
 
 from __future__ import annotations
@@ -63,9 +69,11 @@ _DELTA_W0 = 1e-4
 _DELTA_W_MAX = 1e10
 _KAPPA_SIGMA = 1e10
 _BOUND_PUSH = 1e-2
-# SuperLU supernode settings for factorizations in the stored KKT order
-# (SuperLU's own defaults are panels of 20 columns, relaxed supernodes of 10)
-_LU_PANEL = 6
+# SuperLU supernode settings for every KKT factorization (SuperLU's own
+# defaults are panels of 20 columns, relaxed supernodes of 10): one-column
+# panels factor the KKT matrices of both bundled cases and of the steady
+# problem faster than wider ones
+_LU_PANEL = 1
 _LU_RELAX = 5
 
 
@@ -129,7 +137,7 @@ class _BarrierProblem:
                              P.nnz + n_s + np.arange(1, n_fix + 1)])),
             shape=(n_s + n_fix, self.n_y))
         self._j_eq = None                    # first equality Jacobian (pattern)
-        self._j_pattern = None
+        self.j_pattern = None                # CSR pattern of [J_eq; constant rows]
 
     def split(self, y):
         return y[:self.n_x], y[self.n_x:]
@@ -139,27 +147,27 @@ class _BarrierProblem:
         return np.concatenate([self.p.eq_constraints(x), self.p.ineq_constraints(x) - s,
                                x[self.fix_idx] - self.fix_val])
 
-    def jacobian(self, y) -> sp.csr_matrix:
-        """Equality rows then the constant rows, on a CSR pattern fixed by
-        the first equality Jacobian; each call returns new data."""
+    def jacobian(self, y) -> np.ndarray:
+        """Values of the equality rows then the constant rows, in the order
+        of the CSR pattern ``j_pattern`` fixed by the first equality
+        Jacobian; each call returns new values."""
         j_eq = self.p.eq_jacobian(y[:self.n_x])
         if self._j_eq is None:
             self._j_eq = j_eq
-            self._j_pattern = sp.csr_matrix(
+            self.j_pattern = sp.csr_matrix(
                 (np.zeros(j_eq.nnz + self._const_rows.nnz),
                  np.concatenate([j_eq.indices, self._const_rows.indices]),
                  np.concatenate([j_eq.indptr, j_eq.nnz + self._const_rows.indptr[1:]])),
                 shape=(self.m, self.n_y))
-            self._j_rows = np.repeat(np.arange(self.m), np.diff(self._j_pattern.indptr))
+            self._j_rows = np.repeat(np.arange(self.m), np.diff(self.j_pattern.indptr))
         _check_pattern(j_eq, self._j_eq, "equality Jacobian")
-        return sp.csr_matrix(
-            (np.concatenate([j_eq.data, self._const_rows.data]),
-             self._j_pattern.indices, self._j_pattern.indptr), shape=(self.m, self.n_y))
+        return np.concatenate([j_eq.data, self._const_rows.data])
 
     def jacobian_t_dot(self, J, v) -> np.ndarray:
-        """J^T v for a Jacobian from ``jacobian``, summed over its fixed
-        pattern without building J^T."""
-        return np.bincount(J.indices, weights=J.data * v[self._j_rows], minlength=self.n_y)
+        """J^T v for Jacobian values J from ``jacobian``, summed over the
+        fixed pattern without building J^T."""
+        return np.bincount(self.j_pattern.indices, weights=J * v[self._j_rows],
+                           minlength=self.n_y)
 
     def objective(self, y) -> float:
         return self.p.objective(y[:self.n_x])
@@ -183,13 +191,14 @@ def _check_pattern(a, first, what):
 
 class _KktMatrix:
     """KKT matrix [[W + diag(d), J^T], [J, -delta_c I]] on a CSC pattern
-    fixed by the first W and J.  One CSC matrix ``K`` holds it for the
-    whole solve; every build only writes values into it.  J comes from
-    _BarrierProblem.jacobian, whose pattern is fixed.
+    fixed by the first W and the Jacobian pattern.  One CSC matrix ``K``
+    holds it for the whole solve; every build only writes values into it.
+    The values of J come from _BarrierProblem.jacobian, in the order of
+    its fixed pattern.
 
-    ``slot`` maps, in order, W.data, the n diagonal entries d, J.data
-    (lower block), J.data again (upper block, J^T) and the m entries
-    -delta_c to their places in the pattern.
+    ``slot`` maps, in order, W.data, the n diagonal entries d, the values
+    of J (lower block), the values of J again (upper block, J^T) and the
+    m entries -delta_c to their places in the pattern.
 
     The pattern is stored symmetrically permuted: entry (i, j) of K is
     entry (q[i], q[j]) of the KKT matrix, and ``primal`` marks the entries
@@ -198,17 +207,18 @@ class _KktMatrix:
     and ``slot`` permuted once to its column order, q = argsort(perm_c),
     and every later factorization takes the stored order as it is."""
 
-    def __init__(self, W, J):
-        m, n = J.shape
+    def __init__(self, W, j_pattern):
+        m, n = j_pattern.shape
         self.n = n
         self.size = n + m
         self.W = W
         w_rows = np.repeat(np.arange(W.shape[0]), np.diff(W.indptr))
-        j_rows = n + np.repeat(np.arange(m), np.diff(J.indptr))
+        j_rows = n + np.repeat(np.arange(m), np.diff(j_pattern.indptr))
+        j_cols = j_pattern.indices
         diag = np.arange(self.size)
         indices, indptr, self.slot = self._place(
-            np.concatenate([w_rows, diag[:n], j_rows, J.indices, diag[n:]]),
-            np.concatenate([W.indices, diag[:n], J.indices, j_rows, diag[n:]]))
+            np.concatenate([w_rows, diag[:n], j_rows, j_cols, diag[n:]]),
+            np.concatenate([W.indices, diag[:n], j_cols, j_rows, diag[n:]]))
         self.K = sp.csc_matrix((np.zeros(len(indices)), indices, indptr),
                                shape=(self.size, self.size))
         self.q = diag
@@ -232,7 +242,7 @@ class _KktMatrix:
             self.ordered = True
             self._ordering = None
         self.K.data[:] = np.bincount(self.slot, minlength=self.K.nnz, weights=np.concatenate(
-            [W.data, d, J.data, J.data, np.full(J.shape[0], -delta_c)]))
+            [W.data, d, J, J, np.full(self.size - self.n, -delta_c)]))
         return self.K
 
     def factor(self, K):
@@ -240,7 +250,8 @@ class _KktMatrix:
         if self.ordered:
             return splu(K, permc_spec="NATURAL", options=dict(SymmetricMode=True),
                         panel_size=_LU_PANEL, relax=_LU_RELAX)
-        lu = splu(K, permc_spec="COLAMD", options=dict(SymmetricMode=True))
+        lu = splu(K, permc_spec="COLAMD", options=dict(SymmetricMode=True),
+                  panel_size=_LU_PANEL, relax=_LU_RELAX)
         # entry (r, c) moves to (perm_c[r], perm_c[c]).  The permuted pattern
         # is made now, while this factor is alive: arrays that last the whole
         # solve then lie above the factor's memory in the heap, and with
@@ -304,8 +315,9 @@ class _InteriorPoint:
         self._kkt = None                     # _KktMatrix, from the first build
 
     def evaluate(self, y, lam, zl, zu, c=None, f=None):
-        """Record of the iterate (y, lam, zl, zu): c, J, f, g, J^T lam, the
-        gaps gap_l = y - L and gap_u = U - y to the finite bounds, their
+        """Record of the iterate (y, lam, zl, zu): c, the values J of the
+        Jacobian on its fixed pattern, f, g, J^T lam, the gaps
+        gap_l = y - L and gap_u = U - y to the finite bounds, their
         complementarity products comp, the mu-free part err0 of the KKT
         error with its scalings s_d and s_c, and the KKT error kkt at
         mu = 0.  c and f are evaluated unless given (the line search has
@@ -378,7 +390,7 @@ class _InteriorPoint:
         delta_c = _REG_MIN * max(mu, 1e-20) ** 0.5
         attempts = 0
         if self._kkt is None:
-            self._kkt = _KktMatrix(W, J)
+            self._kkt = _KktMatrix(W, self.bp.j_pattern)
         kkt = self._kkt
         while True:
             K = kkt.build(W, J, sigma + delta_w, delta_c)
@@ -444,7 +456,9 @@ class _InteriorPoint:
             if theta <= 0.5 * theta0 or theta < 1e-12:
                 break
             if JtJ is None:
-                J = (bp.jacobian(y) if J is None else J).tocsc()
+                P = bp.j_pattern
+                J = sp.csr_matrix((bp.jacobian(y) if J is None else J, P.indices, P.indptr),
+                                  shape=P.shape).tocsc()
                 JtJ, Jtc = J.T @ J, J.T @ c
             A = (JtJ + lm * sp.identity(bp.n_y)).tocsc()
             try:

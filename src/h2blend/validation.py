@@ -3,11 +3,16 @@ conservation, concentration transport lag, flow-direction assumptions and
 finite-difference verification of the assembled derivatives.
 
 All audits work on an immutable SolutionTrajectory; feasibility residuals
-are re-evaluated with the exact |phi| (no smoothing).
+are re-evaluated with the exact |phi| (no smoothing).  A trajectory made
+by SolutionTrajectory.from_solution keeps the problem it was read from;
+when that problem was assembled from the audited network and scenario on
+the trajectory's grid, the feasibility audit evaluates a copy of it with
+the exact |phi| instead of assembling the NLP again.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field, asdict
 from typing import Optional
@@ -76,7 +81,14 @@ def _rebuild_problem(trajectory: SolutionTrajectory, segnet: SegmentedNetwork,
         raise ValueError(f"trajectory time step {trajectory.dt_hours} h differs "
                          f"from the scenario's {scenario.dt} h")
     grid = TimeGrid(n_points=n_steps, dt=scenario.dt)
-    problem = assemble_nlp(segnet, scenario, grid, smoothing_eps=0.0)
+    problem = trajectory.problem
+    if (problem is not None and problem.segnet is segnet
+            and problem.scenario is scenario and problem.grid == grid):
+        # the solve's own NLP; only the friction smoothing differs
+        problem = copy.copy(problem)
+        problem.smoothing_eps = 0.0
+    else:
+        problem = assemble_nlp(segnet, scenario, grid, smoothing_eps=0.0)
     if list(problem.index.node_ids) != list(trajectory.node_ids):
         raise ValueError("trajectory nodes do not match the segmented network")
     if list(problem.index.segment_ids) != list(trajectory.segment_ids):

@@ -94,6 +94,19 @@ class TestArgumentsAndExitCodes:
                        "--out", tmp_path / "out", "--mode", "steady", *args) == 2
         assert "finite, got" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, limit", [
+        (("--dl", 1e-300, "--mode", "steady"), "more than 2000 segments"),
+        (("--dl", 1), "more than 2000 segments"),
+        (("--dt", 1e-5), "more than 10000 time steps"),
+        (("--dt", 1e-300), "more than 10000 time steps"),
+    ], ids=["dl-1e-300", "dl-1", "dt-1e-5", "dt-1e-300"])
+    def test_too_fine_a_grid(self, tmp_path, capsys, args, limit):
+        """A segment length or time step too small for the bundled single
+        pipe is an input error, reported before any solve."""
+        assert run_cli("--case", "single-pipe", "--out", tmp_path / "out", *args) == 2
+        assert limit in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_topology(self, tmp_path, case_files):
         net_path, scn_path = case_files
         doc = copy.deepcopy(LINE_NETWORK_DOC)

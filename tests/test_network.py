@@ -208,6 +208,16 @@ class TestSegmentPipes:
         with pytest.raises(ValueError):
             segment_pipes(line_network(), 0.0)
 
+    def test_caps_the_segment_count_of_the_whole_network(self):
+        """Two parallel 30 km pipes: 1,000 segments each fit the cap of
+        2,000, 1,001 each do not."""
+        d = doc()
+        d["pipes"].append({**d["pipes"][0], "id": "P2"})
+        net = parse_network(d)
+        assert len(segment_pipes(net, 30.0).segments) == 2000
+        with pytest.raises(ValueError, match="more than 2000 segments"):
+            segment_pipes(net, 29.99)
+
 
 class TestProfiles:
     def test_sinusoid_shape(self):

@@ -42,7 +42,8 @@ def kkt_residuals(problem, result) -> dict:
     zu = np.concatenate([mult["bound_upper"], np.zeros(bp.n_s)])
     pt = ip.evaluate(y, lam, zl, zu)
     return {
-        "stationarity": float(np.abs(pt.g + pt.J.T @ lam - zl + zu).max(initial=0.0)),
+        "stationarity": float(np.abs(pt.g + bp.jacobian_t_dot(pt.J, lam) - zl + zu)
+                              .max(initial=0.0)),
         "feasibility": float(np.abs(pt.c).max(initial=0.0)),
         "kkt_error": float(ip.kkt_error(pt, 0.0)),
     }
@@ -132,15 +133,17 @@ def restoration_line_case():
 
 @pytest.fixture
 def kkt_factorizations(monkeypatch):
-    """Records (column ordering, matrix, factor) of every KKT
-    factorization; the restoration factorizations have no SymmetricMode."""
+    """Records (column ordering, matrix, factor, (panel_size, relax)) of
+    every KKT factorization; the restoration factorizations have no
+    SymmetricMode."""
     calls = []
     splu = h2blend.solver.splu
 
     def recorded_splu(A, *args, **kwargs):
         lu = splu(A, *args, **kwargs)
         if kwargs.get("options", {}).get("SymmetricMode"):
-            calls.append((kwargs["permc_spec"], A.copy(), lu))
+            calls.append((kwargs["permc_spec"], A.copy(), lu,
+                          (kwargs.get("panel_size"), kwargs.get("relax"))))
         return lu
 
     monkeypatch.setattr(h2blend.solver, "splu", recorded_splu)
@@ -178,9 +181,13 @@ class TestFixedKktPattern:
             # one is factored in that stored order, on one pattern
             assert [c[0] for c in calls] == ["COLAMD"] + ["NATURAL"] * (len(calls) - 1)
             first = calls[1][1]
-            for _, other, _ in calls[2:]:
+            for _, other, _, _ in calls[2:]:
                 assert np.array_equal(other.indptr, first.indptr)
                 assert np.array_equal(other.indices, first.indices)
+            # every factorization, the COLAMD one included, uses the
+            # solver's SuperLU supernode settings
+            assert {c[3] for c in calls} == {(h2blend.solver._LU_PANEL,
+                                              h2blend.solver._LU_RELAX)}
         assert len(kkt_factorizations) >= result.iterations - 1
 
     def test_regularization_retry_reuses_the_stored_ordering(self, kkt_factorizations,
@@ -214,7 +221,8 @@ class TestFixedKktPattern:
 
         def checked_solve_kkt(self, pt, gphi, mu, delta_w_last):
             dy, dlam, delta_w, kkt_solve = solve_kkt(self, pt, gphi, mu, delta_w_last)
-            rhs = -np.concatenate([self._barrier_grad(pt, mu) + pt.J.T @ pt.lam, pt.c])
+            rhs = -np.concatenate([self._barrier_grad(pt, mu)
+                                   + self.bp.jacobian_t_dot(pt.J, pt.lam), pt.c])
             rhs_soc = -np.concatenate([np.zeros(len(pt.y)), pt.c])
             directions.append((kkt_factorizations[-1][1], rhs, np.concatenate([dy, dlam]),
                                rhs_soc, kkt_solve(rhs_soc)))
@@ -262,7 +270,7 @@ class TestFixedKktPattern:
         K = built[0]
         rng = np.random.default_rng(0)
         # every factorization but the last was followed by a refill
-        for _, A, lu in kkt_factorizations[:-1]:
+        for _, A, lu, _ in kkt_factorizations[:-1]:
             assert not np.array_equal(A.data, K.data)
             b = rng.standard_normal(A.shape[0])
             assert np.abs(A @ lu.solve(b) - b).max() <= 1e-7 * (np.abs(b).max() + 1.0)

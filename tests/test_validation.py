@@ -3,10 +3,13 @@ import json
 import numpy as np
 import pytest
 
+import h2blend.solver
+import h2blend.validation
 from conftest import line_network, short_scenario
-from h2blend.network import segment_pipes
-from h2blend.solution import SolutionTrajectory
-from h2blend.solver import solve_transient
+from h2blend.cli import bundled_path
+from h2blend.network import load_network, load_scenario, segment_pipes
+from h2blend.solution import SolutionTrajectory, read_solution, write_solution
+from h2blend.solver import solve_steady, solve_transient
 from h2blend.validation import (
     AuditReport,
     check_feasibility,
@@ -184,3 +187,32 @@ class TestReporting:
         report.add("c", False, 2.0, 1.0, advisory=True)
         assert not report.passed
         assert [c.name for c in report.failures()] == ["b"]
+
+
+class TestOneProblemPerSolveAndAudit:
+    def test_audit_reuses_the_solved_problem(self, tmp_path, monkeypatch):
+        """An eight-node steady solve and its audit assemble one NLP; the
+        audit of the same trajectory read back from disk assembles its own
+        and reports the same."""
+        assembled = []
+        for module in (h2blend.solver, h2blend.validation):
+            def counted(*args, _assemble=module.assemble_nlp, **kwargs):
+                assembled.append(args[2])
+                return _assemble(*args, **kwargs)
+            monkeypatch.setattr(module, "assemble_nlp", counted)
+        scenario = load_scenario(bundled_path("eight-node", "scenario"))
+        segnet = segment_pipes(load_network(bundled_path("eight-node", "network")),
+                               scenario.dL)
+        result, problem = solve_steady(segnet, scenario)
+        assert result.success
+        tr = SolutionTrajectory.from_solution(problem, result.x)
+        report = run_audits(tr, segnet, scenario)
+        assert report.passed
+        assert len(assembled) == 1
+        # the audit evaluated a copy: the solve's problem keeps its smoothing
+        assert problem.smoothing_eps == 1e-8
+        write_solution(tr, tmp_path)
+        read_back = read_solution(tmp_path)
+        assert read_back.problem is None
+        assert run_audits(read_back, segnet, scenario).to_json() == report.to_json()
+        assert len(assembled) == 2
