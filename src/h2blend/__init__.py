@@ -19,7 +19,7 @@ from .solver import (
     solve_steady,
     solve_transient,
 )
-from .transcription import assemble_nlp, build_time_grid
+from .transcription import assemble_nlp
 from .validation import run_audits
 
 __version__ = "0.1.0"
@@ -32,7 +32,6 @@ __all__ = [
     "SolverOptions",
     "SolutionTrajectory",
     "assemble_nlp",
-    "build_time_grid",
     "load_network",
     "load_scenario",
     "parse_network",

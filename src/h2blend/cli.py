@@ -18,14 +18,13 @@ from pathlib import Path
 from .network import (
     ParseError,
     load_network,
-    load_scenario,
     parse_scenario,
     segment_pipes,
     validate_topology,
 )
 from .solution import SolutionTrajectory, read_solution, write_solution
 from .solver import SolverOptions, solve_steady, solve_transient
-from .transcription import AssemblyError, ConfigurationError
+from .transcription import AssemblyError
 from .validation import run_audits
 
 EXIT_OK = 0
@@ -139,7 +138,7 @@ def run(args) -> int:
         return EXIT_PARSE
     try:
         net, scenario = _load_inputs(args)
-    except (ParseError, ConfigurationError, json.JSONDecodeError) as exc:
+    except (ParseError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
@@ -170,7 +169,12 @@ def run(args) -> int:
             return EXIT_PARSE
         return EXIT_OK if report.passed else EXIT_AUDIT
 
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create output directory {out_dir}: {exc}",
+              file=sys.stderr)
+        return EXIT_PARSE
     options = SolverOptions(kkt_tol=args.tol)
     steady_result, steady_problem = solve_steady(segnet, scenario, options)
     if args.iter_log:
@@ -221,7 +225,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return run(args)
-    except (ParseError, ConfigurationError, AssemblyError) as exc:
+    except (ParseError, AssemblyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except Exception as exc:                 # pragma: no cover - safety net

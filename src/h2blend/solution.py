@@ -22,6 +22,28 @@ def _fmt(v: float) -> str:
     return f"{float(v):.17g}"
 
 
+def _series(problem: NlpProblem) -> tuple:
+    """(field, variable block, SI scale) of each series that is a block of
+    the variable vector; the pressure follows from the two densities."""
+    rho0, flow0 = problem.scales.rho0, problem.flow0
+    return (("rho_H2", "rho_h2", rho0), ("rho_NG", "rho_ng", rho0),
+            ("eta", "eta", 1.0), ("f0", "f0", flow0), ("fL", "fl", flow0),
+            ("alpha", "alpha", 1.0), ("fc", "fc", flow0), ("qs", "qs", flow0),
+            ("qw", "qw", flow0), ("gE", "ge", problem.energy0))
+
+
+def _table(rows, key, columns, t_index, N) -> tuple:
+    """Ids in first-seen order, and one (ids, N) array per column."""
+    ids = list(dict.fromkeys(r[key] for r in rows))
+    pos = {i: k for k, i in enumerate(ids)}
+    arrays = [np.zeros((len(ids), N)) for _ in columns]
+    for r in rows:
+        k, t = pos[r[key]], t_index[_fmt(float(r["time_h"]))]
+        for a, column in zip(arrays, columns):
+            a[k, t] = float(r[column])
+    return ids, arrays
+
+
 @dataclass
 class SolutionTrajectory:
     times: np.ndarray                        # hours, shape (N,)
@@ -55,11 +77,8 @@ class SolutionTrajectory:
     @classmethod
     def from_solution(cls, problem: NlpProblem, x: np.ndarray) -> "SolutionTrajectory":
         idx = problem.index
-        sc = problem.scales
-        rho_h2 = idx.block(x, "rho_h2") * sc.rho0
-        rho_ng = idx.block(x, "rho_ng") * sc.rho0
         p = (problem.c_h2 * idx.block(x, "rho_h2")
-             + problem.c_ng * idx.block(x, "rho_ng")) * sc.p0
+             + problem.c_ng * idx.block(x, "rho_ng")) * problem.scales.p0
         return cls(
             times=problem.grid.points.copy(),
             node_ids=list(idx.node_ids),
@@ -68,16 +87,9 @@ class SolutionTrajectory:
             compressor_ids=list(idx.compressor_ids),
             supply_ids=list(idx.supply_ids),
             withdrawal_ids=list(idx.withdrawal_ids),
-            rho_H2=rho_h2, rho_NG=rho_ng,
-            eta=idx.block(x, "eta").copy(),
             p=p,
-            f0=idx.block(x, "f0") * problem.flow0,
-            fL=idx.block(x, "fl") * problem.flow0,
-            alpha=idx.block(x, "alpha").copy(),
-            fc=idx.block(x, "fc") * problem.flow0,
-            qs=idx.block(x, "qs") * problem.flow0,
-            qw=idx.block(x, "qw") * problem.flow0,
-            gE=idx.block(x, "ge") * problem.energy0,
+            **{name: idx.block(x, block) * scale
+               for name, block, scale in _series(problem)},
             economics=problem.economics(x),
             dt_hours=problem.grid.dt,
             problem=problem,
@@ -85,22 +97,9 @@ class SolutionTrajectory:
 
     def to_variables(self, problem: NlpProblem) -> np.ndarray:
         """Inverse of from_solution: dimensionless variable vector."""
-        idx = problem.index
-        sc = problem.scales
-        x = np.zeros(idx.total)
-        idx.block(x, "rho_h2")[:] = self.rho_H2 / sc.rho0
-        idx.block(x, "rho_ng")[:] = self.rho_NG / sc.rho0
-        idx.block(x, "eta")[:] = self.eta
-        idx.block(x, "f0")[:] = self.f0 / problem.flow0
-        idx.block(x, "fl")[:] = self.fL / problem.flow0
-        if self.alpha.size:
-            idx.block(x, "alpha")[:] = self.alpha
-            idx.block(x, "fc")[:] = self.fc / problem.flow0
-        if self.qs.size:
-            idx.block(x, "qs")[:] = self.qs / problem.flow0
-        if self.qw.size:
-            idx.block(x, "qw")[:] = self.qw / problem.flow0
-            idx.block(x, "ge")[:] = self.gE / problem.energy0
+        x = np.zeros(problem.index.total)
+        for name, block, scale in _series(problem):
+            problem.index.block(x, block)[:] = getattr(self, name) / scale
         return x
 
     def node_series(self, node_id: str, quantity: str) -> np.ndarray:
@@ -182,60 +181,19 @@ def read_solution(out_dir) -> SolutionTrajectory:
 
     times = sorted({float(r["time_h"]) for r in node_rows})
     t_index = {_fmt(t): i for i, t in enumerate(times)}
-    node_ids = list(dict.fromkeys(r["node"] for r in node_rows))
-    n_pos = {nid: k for k, nid in enumerate(node_ids)}
     N = len(times)
-    shape = (len(node_ids), N)
-    rho_h2 = np.zeros(shape)
-    rho_ng = np.zeros(shape)
-    eta = np.zeros(shape)
-    p = np.zeros(shape)
-    for r in node_rows:
-        k, t = n_pos[r["node"]], t_index[_fmt(float(r["time_h"]))]
-        rho_h2[k, t] = float(r["rho_H2_kg_m3"])
-        rho_ng[k, t] = float(r["rho_NG_kg_m3"])
-        eta[k, t] = float(r["eta"])
-        p[k, t] = float(r["p_Pa"])
-
-    seg_ids = list(dict.fromkeys(r["edge"] for r in edge_rows
-                                 if r["kind"] == "segment"))
-    comp_ids = list(dict.fromkeys(r["edge"] for r in edge_rows
-                                  if r["kind"] == "compressor"))
-    parents = {}
-    s_pos = {sid: k for k, sid in enumerate(seg_ids)}
-    c_pos = {cid: k for k, cid in enumerate(comp_ids)}
-    f0 = np.zeros((len(seg_ids), N))
-    fL = np.zeros((len(seg_ids), N))
-    fc = np.zeros((len(comp_ids), N))
-    alpha = np.zeros((len(comp_ids), N))
-    for r in edge_rows:
-        t = t_index[_fmt(float(r["time_h"]))]
-        if r["kind"] == "segment":
-            k = s_pos[r["edge"]]
-            parents[r["edge"]] = r["parent"]
-            f0[k, t] = float(r["f0_kg_s"])
-            fL[k, t] = float(r["fL_kg_s"])
-        else:
-            k = c_pos[r["edge"]]
-            fc[k, t] = float(r["f0_kg_s"])
-            alpha[k, t] = float(r["alpha"])
-
-    supply_ids = list(dict.fromkeys(r["node"] for r in transfer_rows
-                                    if r["q_s_kg_s"] != ""))
-    wd_ids = list(dict.fromkeys(r["node"] for r in transfer_rows
-                                if r["q_w_kg_s"] != ""))
-    qs = np.zeros((len(supply_ids), N))
-    qw = np.zeros((len(wd_ids), N))
-    gE = np.zeros((len(wd_ids), N))
-    sup_pos = {nid: k for k, nid in enumerate(supply_ids)}
-    wd_pos = {nid: k for k, nid in enumerate(wd_ids)}
-    for r in transfer_rows:
-        t = t_index[_fmt(float(r["time_h"]))]
-        if r["q_s_kg_s"] != "":
-            qs[sup_pos[r["node"]], t] = float(r["q_s_kg_s"])
-        else:
-            qw[wd_pos[r["node"]], t] = float(r["q_w_kg_s"])
-            gE[wd_pos[r["node"]], t] = float(r["g_E_MJ_s"])
+    node_ids, (rho_h2, rho_ng, eta, p) = _table(
+        node_rows, "node", ("rho_H2_kg_m3", "rho_NG_kg_m3", "eta", "p_Pa"), t_index, N)
+    segments = [r for r in edge_rows if r["kind"] == "segment"]
+    seg_ids, (f0, fL) = _table(segments, "edge", ("f0_kg_s", "fL_kg_s"), t_index, N)
+    parents = {r["edge"]: r["parent"] for r in segments}
+    comp_ids, (fc, alpha) = _table(
+        [r for r in edge_rows if r["kind"] == "compressor"], "edge",
+        ("f0_kg_s", "alpha"), t_index, N)
+    supply_ids, (qs,) = _table([r for r in transfer_rows if r["q_s_kg_s"] != ""],
+                               "node", ("q_s_kg_s",), t_index, N)
+    wd_ids, (qw, gE) = _table([r for r in transfer_rows if r["q_w_kg_s"] != ""],
+                              "node", ("q_w_kg_s", "g_E_MJ_s"), t_index, N)
 
     economics = {}
     if obj_rows:

@@ -23,10 +23,6 @@ from .network import Node, Scenario, SegmentedNetwork
 from .physics import nondim_scales, pipe_beta
 
 
-class ConfigurationError(ValueError):
-    """Invalid time grid or discretization configuration."""
-
-
 class AssemblyError(ValueError):
     """The problem data are inconsistent (for example crossed bounds)."""
 
@@ -45,15 +41,6 @@ class TimeGrid:
     @property
     def succ(self) -> np.ndarray:
         return (np.arange(self.n_points) + 1) % self.n_points
-
-
-def build_time_grid(T_f: float, dt: float) -> TimeGrid:
-    if dt <= 0.0 or T_f <= 0.0:
-        raise ConfigurationError(f"need positive horizon and step, got {T_f}, {dt}")
-    ratio = T_f / dt
-    if abs(ratio - round(ratio)) > 1e-9:
-        raise ConfigurationError(f"dt={dt} h does not divide the horizon {T_f} h")
-    return TimeGrid(n_points=round(ratio), dt=dt)
 
 
 class VariableIndex:
@@ -608,20 +595,7 @@ class NlpProblem:
                 wr.writerow([r, c])
 
 
-def expected_variable_count(segnet: SegmentedNetwork, grid: TimeGrid) -> int:
-    """Closed-form tally: N*(3*nodes + 2*segments + 2*compressors
-    + supplies + 2*withdrawals)."""
-    n_nodes = len(segnet.nodes)
-    n_sup = sum(1 for n in segnet.nodes if n.role in ("slack", "injection"))
-    n_wd = sum(1 for n in segnet.nodes if n.role == "withdrawal")
-    return grid.n_points * (3 * n_nodes + 2 * len(segnet.segments)
-                            + 2 * len(segnet.compressors) + n_sup + 2 * n_wd)
-
-
 def assemble_nlp(segnet: SegmentedNetwork, scenario: Scenario, grid: TimeGrid,
                  smoothing_eps: float = 1e-8) -> NlpProblem:
     """Build the complete sparse NLP for a segmented network and scenario."""
-    problem = NlpProblem(segnet, scenario, grid, smoothing_eps=smoothing_eps)
-    if problem.index.total != expected_variable_count(segnet, grid):
-        raise AssemblyError("variable index does not match the counting formula")
-    return problem
+    return NlpProblem(segnet, scenario, grid, smoothing_eps=smoothing_eps)

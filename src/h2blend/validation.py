@@ -1,6 +1,5 @@
 """Post-solve audits: feasibility in physical units, cyclic species
-conservation, concentration transport lag, flow-direction assumptions and
-finite-difference verification of the assembled derivatives.
+conservation, flow-direction assumptions and block periodicity.
 
 All audits work on an immutable SolutionTrajectory; feasibility residuals
 are re-evaluated with the exact |phi| (no smoothing).  A trajectory made
@@ -15,7 +14,6 @@ from __future__ import annotations
 import copy
 import json
 from dataclasses import dataclass, field, asdict
-from typing import Optional
 
 import numpy as np
 
@@ -89,10 +87,13 @@ def _rebuild_problem(trajectory: SolutionTrajectory, segnet: SegmentedNetwork,
         problem.smoothing_eps = 0.0
     else:
         problem = assemble_nlp(segnet, scenario, grid, smoothing_eps=0.0)
-    if list(problem.index.node_ids) != list(trajectory.node_ids):
-        raise ValueError("trajectory nodes do not match the segmented network")
-    if list(problem.index.segment_ids) != list(trajectory.segment_ids):
-        raise ValueError("trajectory segments do not match the segmented network")
+    for entities, ids in (("nodes", "node_ids"), ("segments", "segment_ids"),
+                          ("compressors", "compressor_ids"),
+                          ("supplies", "supply_ids"),
+                          ("withdrawals", "withdrawal_ids")):
+        if list(getattr(problem.index, ids)) != list(getattr(trajectory, ids)):
+            raise ValueError(f"trajectory {entities} do not match the "
+                             "segmented network")
     return problem
 
 
@@ -157,33 +158,6 @@ def conservation_audit(trajectory: SolutionTrajectory, segnet: SegmentedNetwork,
     return report
 
 
-def lag_analysis(trajectory: SolutionTrajectory, upstream: str,
-                 downstream: str) -> Optional[float]:
-    """Transport delay (hours) between two nodal concentration series.
-
-    Uses circular cross-correlation of the mean-removed series; the lag is
-    mapped to [-T/2, T/2) and is positive when the downstream series lags.
-    A series that repeats within the horizon correlates equally at several
-    lags, up to rounding: among the lags within a relative 1e-9 of the
-    largest correlation, the shortest is returned (the positive one of a
-    tie).  Returns None when either series is constant (lag undefined).
-    """
-    up = trajectory.node_series(upstream, "eta")
-    down = trajectory.node_series(downstream, "eta")
-    up = up - up.mean()
-    down = down - down.mean()
-    if np.abs(up).max(initial=0.0) < 1e-12 or np.abs(down).max(initial=0.0) < 1e-12:
-        return None
-    N = len(up)
-    cc = np.array([float(np.dot(np.roll(up, k), down)) for k in range(N)])
-    dt = trajectory.dt_hours
-    period = N * dt
-    lags = np.arange(N) * dt
-    lags = np.where(lags >= period / 2.0, lags - period, lags)
-    best = np.flatnonzero(cc >= cc.max() - 1e-9 * abs(cc.max()))
-    return float(lags[best[np.argmin(np.abs(lags[best]))]])
-
-
 def flow_direction_audit(trajectory: SolutionTrajectory,
                          tol: float = 1e-9) -> AuditReport:
     """Flag pipe flow reversals; the edge-concentration aliasing used in
@@ -202,7 +176,7 @@ def flow_direction_audit(trajectory: SolutionTrajectory,
 
 
 def periodicity_check(trajectory: SolutionTrajectory, cycles: int,
-                      tol: float = 1e-4, advisory: bool = True) -> AuditReport:
+                      tol: float = 1e-4) -> AuditReport:
     """Block periodicity: with data repeating ``cycles`` times over the
     horizon, compare the solution at t and t + T/cycles."""
     report = AuditReport()
@@ -220,46 +194,8 @@ def periodicity_check(trajectory: SolutionTrajectory, cycles: int,
         b = np.roll(a, -shift, axis=1)
         scale = max(1.0, float(np.abs(a).max(initial=0.0)))
         worst = max(worst, float(np.abs(a - b).max(initial=0.0)) / scale)
-    report.add("periodicity/block", worst <= tol, worst, tol, advisory=advisory)
+    report.add("periodicity/block", worst <= tol, worst, tol, advisory=True)
     return report
-
-
-def derivative_check(problem: NlpProblem, n_points: int = 20,
-                     step: float = 1e-6, seed: int = 0,
-                     n_columns: int = 25) -> float:
-    """Max relative error of the analytic Jacobian and gradient versus
-    central differences at random interior points.
-
-    Sampled flows are kept away from zero so the friction kink (smoothed
-    in the model but sharply curved) does not distort the comparison.
-    """
-    rng = np.random.default_rng(seed)
-    n = problem.index.total
-    worst = 0.0
-    for _ in range(n_points):
-        x = rng.uniform(0.8, 2.0, n)
-        for q in ("f0", "fl"):
-            blk = problem.index.block(x, q)
-            blk[:] = rng.uniform(0.5, 1.5, blk.shape)
-        lo = np.where(np.isfinite(problem.lb), problem.lb, -np.inf)
-        hi = np.where(np.isfinite(problem.ub), problem.ub, np.inf)
-        x = np.clip(x, lo + 1e-3, hi - 1e-3)
-        x = np.clip(x, lo, hi)
-        J = problem.eq_jacobian(x).tocsc()
-        g = problem.gradient(x)
-        cols = rng.choice(n, size=min(n_columns, n), replace=False)
-        for k in cols:
-            xp = x.copy()
-            xp[k] += step
-            xm = x.copy()
-            xm[k] -= step
-            fd = (problem.eq_constraints(xp) - problem.eq_constraints(xm)) / (2 * step)
-            ana = J[:, k].toarray().ravel()
-            denom = max(1.0, float(np.abs(ana).max(initial=0.0)))
-            worst = max(worst, float(np.abs(fd - ana).max(initial=0.0)) / denom)
-            fd_g = (problem.objective(xp) - problem.objective(xm)) / (2 * step)
-            worst = max(worst, abs(fd_g - g[k]) / max(1.0, abs(g[k])))
-    return worst
 
 
 def run_audits(trajectory: SolutionTrajectory, segnet: SegmentedNetwork,

@@ -124,6 +124,14 @@ class TestArgumentsAndExitCodes:
         assert run_cli("--network", net_path, "--scenario", scn_path,
                        "--out", tmp_path / "out", "--mode", "steady") == 3
 
+    def test_out_is_a_file(self, tmp_path, case_files, capsys):
+        net_path, scn_path = case_files
+        out = tmp_path / "out"
+        out.write_text("")
+        assert run_cli("--network", net_path, "--scenario", scn_path,
+                       "--out", out, "--mode", "steady") == 2
+        assert "cannot create output directory" in capsys.readouterr().err
+
     def test_bundled_case_paths_exist(self):
         for case in ("single-pipe", "eight-node"):
             assert bundled_path(case, "network").exists()
@@ -218,11 +226,31 @@ class TestValidateOnly:
         assert run_cli("--network", net_path, "--scenario", scn_path,
                        "--out", out, "--mode", "validate-only") == 5
 
-    def test_solution_of_another_network(self, single_pipe_out, capsys):
-        # eight-node at dt 0.5 h has the same grid, but other nodes
-        assert run_cli("--case", "eight-node", "--dt", 0.5, "--out", single_pipe_out,
-                       "--mode", "validate-only") == 2
-        assert "trajectory nodes do not match" in capsys.readouterr().err
+    @pytest.mark.parametrize("edit, message", [
+        (None, "trajectory nodes do not match"),
+        (lambda doc: doc["compressors"][0].update(id="CX"),
+         "trajectory compressors do not match"),
+        (lambda doc: doc["nodes"][1].update(role="injection"),
+         "trajectory supplies do not match"),
+    ], ids=["eight-node", "compressor-renamed", "junction-made-injection"])
+    def test_solution_of_another_network(self, single_pipe_out, tmp_path, capsys,
+                                         edit, message):
+        if edit is None:
+            # eight-node at dt 0.5 h has the same grid, but other nodes
+            inputs = ("--case", "eight-node", "--dt", 0.5)
+        else:
+            # the single pipe with one compressor or supply changed: the
+            # nodes and segments still match
+            doc = json.loads(bundled_path("single-pipe", "network").read_text())
+            edit(doc)
+            net_path = tmp_path / "network.json"
+            net_path.write_text(json.dumps(doc))
+            inputs = ("--network", net_path,
+                      "--scenario", bundled_path("single-pipe", "scenario"))
+        assert run_cli(*inputs, "--out", single_pipe_out, "--mode", "validate-only") == 2
+        err = capsys.readouterr().err
+        assert "does not fit the inputs" in err
+        assert message in err
 
     def test_solution_on_another_grid(self, single_pipe_out, capsys):
         assert run_cli("--case", "single-pipe", "--dt", 1.0, "--out", single_pipe_out,

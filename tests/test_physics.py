@@ -12,7 +12,7 @@ from h2blend.physics import (
     pipe_beta,
 )
 from h2blend.solution import SolutionTrajectory
-from h2blend.transcription import assemble_nlp, build_time_grid
+from h2blend.transcription import TimeGrid, assemble_nlp
 
 GAS = GasConstants()
 
@@ -21,7 +21,7 @@ GAS = GasConstants()
 def problem():
     scenario = short_scenario()
     segnet = segment_pipes(line_network(), scenario.dL)
-    return assemble_nlp(segnet, scenario, build_time_grid(scenario.T_f, scenario.dt))
+    return assemble_nlp(segnet, scenario, TimeGrid(scenario.n_steps, scenario.dt))
 
 
 def state(problem, rho_H2=1.0, rho_NG=20.0, eta=1.0 / 21.0, qw=100.0, gE=0.0):

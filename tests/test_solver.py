@@ -9,7 +9,8 @@ from scipy.sparse.linalg import splu
 
 import h2blend.solver
 from conftest import LINE_NETWORK_DOC, line_network, short_scenario
-from h2blend.network import parse_network, segment_pipes
+from h2blend.cli import bundled_path
+from h2blend.network import load_network, load_scenario, parse_network, segment_pipes
 from h2blend.physics import GasConstants
 from h2blend.solution import SolutionTrajectory
 from h2blend.solver import (
@@ -591,3 +592,36 @@ class TestTransient:
         assert steady_result.success and result.success
         assert steady_result.log and result.log
         assert opened == [] and list(tmp_path.iterdir()) == []
+
+
+class TestRoundingRobustness:
+    """A relative 1e-12 perturbation of the steady start point keeps the
+    status, the iteration counts and the objectives of both bundled cases.
+    Changes of summation order alone have flipped refined grids between
+    converged and infeasible."""
+
+    @pytest.mark.parametrize("case, iterations", [
+        ("single-pipe", (11, 18)), ("eight-node", (24, 27))],
+        ids=["single-pipe", "eight-node"])
+    def test_perturbed_start_point(self, case, iterations):
+        scenario = load_scenario(bundled_path(case, "scenario"))
+        segnet = segment_pipes(load_network(bundled_path(case, "network")),
+                               scenario.dL)
+        steady = assemble_nlp(segnet, scenario, TimeGrid(1, scenario.dt))
+        transient = assemble_nlp(segnet, scenario,
+                                 TimeGrid(scenario.n_steps, scenario.dt))
+        x0 = _steady_initial_point(steady)
+
+        def solve(x):
+            first = solve_nlp(steady, x)
+            return first, solve_nlp(transient, replicate_steady(first.x, transient))
+
+        reference = solve(x0)
+        assert [(r.status, r.iterations) for r in reference] == [
+            ("local-optimum", n) for n in iterations]
+        for seed in (1, 2, 3):
+            rng = np.random.default_rng(seed)
+            runs = solve(x0 * (1.0 + 1e-12 * rng.standard_normal(x0.size)))
+            for run, ref in zip(runs, reference):
+                assert (run.status, run.iterations) == (ref.status, ref.iterations)
+                assert run.objective == pytest.approx(ref.objective, rel=1e-9)

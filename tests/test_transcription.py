@@ -4,23 +4,23 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import LINE_NETWORK_DOC, line_network, short_scenario
+from conftest import LINE_NETWORK_DOC, SHORT_SCENARIO_DOC, line_network, short_scenario
 from h2blend.cli import bundled_path
-from h2blend.network import load_network, parse_network, segment_pipes
-from h2blend.transcription import (
-    AssemblyError,
-    ConfigurationError,
-    TimeGrid,
-    assemble_nlp,
-    build_time_grid,
-    expected_variable_count,
+from h2blend.network import (
+    ParseError,
+    load_network,
+    parse_network,
+    parse_scenario,
+    segment_pipes,
 )
-from h2blend.validation import derivative_check
+from h2blend.transcription import AssemblyError, TimeGrid, assemble_nlp
 from reference_forms import (
     compatibility_residuals,
     compressor_residual,
     cyclic_derivative,
+    derivative_check,
     energy_residual,
+    expected_variable_count,
     nodal_balance_residuals,
     pipe_segment_residuals,
 )
@@ -36,7 +36,7 @@ def small_problem():
     scenario = short_scenario(profiles={
         "N1": {"type": "sinusoid", "eta0": 0.1, "delta": 0.05, "nu": 1.0}})
     segnet = bundled_segnet(scenario)
-    grid = build_time_grid(scenario.T_f, scenario.dt)
+    grid = TimeGrid(scenario.n_steps, scenario.dt)
     return assemble_nlp(segnet, scenario, grid)
 
 
@@ -53,7 +53,8 @@ def random_point(problem, seed=3):
 
 class TestTimeGrid:
     def test_points_and_wrap(self):
-        grid = build_time_grid(24.0, 0.5)
+        scenario = short_scenario(horizon_hours=24.0, dt_hours=0.5)
+        grid = TimeGrid(scenario.n_steps, scenario.dt)
         assert grid.n_points == 48
         assert grid.points[0] == 0.0
         assert grid.points[-1] == pytest.approx(23.5)
@@ -62,10 +63,10 @@ class TestTimeGrid:
         assert grid.n_points * grid.dt == pytest.approx(24.0)
 
     def test_rejects_non_divisible_step(self):
-        with pytest.raises(ConfigurationError):
-            build_time_grid(24.0, 0.7)
-        with pytest.raises(ConfigurationError):
-            build_time_grid(24.0, -1.0)
+        for dt, reason in ((0.7, "divide"), (-1.0, "positive")):
+            with pytest.raises(ParseError, match=reason):
+                parse_scenario({**SHORT_SCENARIO_DOC, "horizon_hours": 24.0,
+                                "dt_hours": dt})
 
     def test_cyclic_derivative(self):
         x = np.array([1.0, 3.0, 2.0])
@@ -74,7 +75,7 @@ class TestTimeGrid:
         assert list(d) == [4.0, -2.0, -2.0]
         # the rates of a cyclic series sum to zero
         assert d.sum() == pytest.approx(0.0)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValueError):
             cyclic_derivative(xs, x, 0.0)
 
 
@@ -84,7 +85,7 @@ class TestAssemblyErrors:
         scenario = short_scenario(profiles={
             node_id: {"type": "sinusoid", "eta0": 0.1, "delta": 0.05}})
         segnet = segment_pipes(line_network(), scenario.dL)
-        grid = build_time_grid(scenario.T_f, scenario.dt)
+        grid = TimeGrid(scenario.n_steps, scenario.dt)
         with pytest.raises(AssemblyError,
                            match=rf"profiles\['{node_id}'\]: not a supply node"):
             assemble_nlp(segnet, scenario, grid)
@@ -94,7 +95,7 @@ class TestAssemblyErrors:
         doc["pipes"].append({"id": "P9", "from": "N3", "to": "N3", "L": 10000.0, "D": 0.9})
         scenario = short_scenario()
         segnet = segment_pipes(parse_network(doc), scenario.dL)
-        grid = build_time_grid(scenario.T_f, scenario.dt)
+        grid = TimeGrid(scenario.n_steps, scenario.dt)
         with pytest.raises(AssemblyError, match="starts and ends at the same node"):
             assemble_nlp(segnet, scenario, grid)
 
