@@ -1,16 +1,14 @@
 """Command-line front end: load a network and scenario, optimize, audit
 and write time-series CSV outputs.
 
-Exit codes: 0 success, 2 input/parse error, 3 infeasible, 4 iteration
-limit, 5 post-solve audit failure, 1 unexpected error.
+Exit codes: 0 success, 2 invalid or unreadable input or unwritable output,
+3 infeasible, 4 iteration limit, 5 post-solve audit failure, 1 internal failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import importlib.resources
-import json
 import os
 import sys
 from pathlib import Path
@@ -19,12 +17,19 @@ from .network import (
     ParseError,
     load_network,
     parse_scenario,
+    read_json,
     segment_pipes,
     validate_topology,
 )
-from .solution import SolutionTrajectory, read_solution, write_solution
+from .physics import DomainError
+from .solution import (
+    SolutionTrajectory,
+    export_nlp,
+    read_solution,
+    write_csv,
+    write_solution,
+)
 from .solver import SolverOptions, solve_steady, solve_transient
-from .transcription import AssemblyError
 from .validation import run_audits
 
 EXIT_OK = 0
@@ -77,19 +82,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_inputs(args):
     if args.case is not None:
-        network_path = bundled_path(args.case, "network")
-        scenario_path = bundled_path(args.case, "scenario")
+        network_path, scenario_path = (bundled_path(args.case, kind)
+                                       for kind in ("network", "scenario"))
+    elif args.network and args.scenario:
+        network_path, scenario_path = args.network, args.scenario
     else:
-        if not args.network or not args.scenario:
-            raise ParseError("either --case or both --network and --scenario "
-                             "are required")
-        network_path = Path(args.network)
-        scenario_path = Path(args.scenario)
-    for path in (network_path, scenario_path):
-        if not path.exists():
-            raise ParseError(f"input file not found: {path}")
+        raise ParseError("either --case or both --network and --scenario are required")
     net = load_network(network_path)
-    scenario_doc = json.loads(scenario_path.read_text())
+    scenario_doc = read_json(scenario_path)
     # parse_scenario reports a document that is not an object
     if isinstance(scenario_doc, dict):
         for key, value in (("dt_hours", args.dt), ("segment_length_m", args.dl),
@@ -121,93 +121,61 @@ def _audit(trajectory, segnet, scenario, tol: float, out_dir: Path):
     return report
 
 
-def _write_log(result, path: Path):
-    """Write a solve's per-iteration log as CSV (nothing if it is empty)."""
-    if result.log:
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(result.log[0]))
-            writer.writeheader()
-            writer.writerows(result.log)
+def _stage(name: str, result, log_dir: Path | None) -> int:
+    """Write a solve stage's iteration log into ``log_dir`` (if given), print
+    its summary line and return the exit code its status calls for."""
+    if log_dir is not None and result.log:
+        header = list(result.log[0])
+        write_csv(log_dir / f"iterations_{name}.csv", header,
+                  ([row[key] for key in header] for row in result.log))
+    print(f"{name}: {result.status} in {result.iterations} "
+          f"iterations ({result.wall_time:.2f} s), "
+          f"violation {result.violation:.2e}")
+    if result.status == "local-optimum":
+        return EXIT_OK
+    print(f"error: {name} stage: {result.message}", file=sys.stderr)
+    return (EXIT_ITERATION_LIMIT if result.status == "iteration-limit"
+            else EXIT_INFEASIBLE)
 
 
 def run(args) -> int:
     out_dir = Path(args.out or os.environ.get("H2BLEND_OUT", "h2blend_out"))
     if not 0.0 < args.tol < float("inf"):
-        print(f"error: --tol must be positive and finite, got {args.tol}",
-              file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        net, scenario = _load_inputs(args)
-    except (ParseError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-
+        raise ParseError(f"--tol must be positive and finite, got {args.tol}")
+    net, scenario = _load_inputs(args)
     diagnostics = validate_topology(net)
     if diagnostics:
-        for diag in diagnostics:
-            print(f"error: topology: {diag}", file=sys.stderr)
-        return EXIT_PARSE
-
-    try:
-        segnet = segment_pipes(net, scenario.dL)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        raise ParseError("\n".join(f"topology: {diag}" for diag in diagnostics))
+    segnet = segment_pipes(net, scenario.dL)
 
     if args.mode == "validate-only":
         try:
             trajectory = read_solution(out_dir)
         except (OSError, KeyError, ValueError) as exc:
-            print(f"error: cannot read solution from {out_dir}: {exc}",
-                  file=sys.stderr)
-            return EXIT_PARSE
+            raise ParseError(f"cannot read solution from {out_dir}: {exc}")
         try:
             report = _audit(trajectory, segnet, scenario, args.tol, out_dir)
         except ValueError as exc:            # written for another network or grid
-            print(f"error: solution in {out_dir} does not fit the inputs: {exc}",
-                  file=sys.stderr)
-            return EXIT_PARSE
+            raise ParseError(f"solution in {out_dir} does not fit the inputs: {exc}")
         return EXIT_OK if report.passed else EXIT_AUDIT
 
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        print(f"error: cannot create output directory {out_dir}: {exc}",
-              file=sys.stderr)
-        return EXIT_PARSE
+        raise ParseError(f"cannot create output directory {out_dir}: {exc}")
     options = SolverOptions(kkt_tol=args.tol)
-    steady_result, steady_problem = solve_steady(segnet, scenario, options)
-    if args.iter_log:
-        _write_log(steady_result, out_dir / "iterations_steady.csv")
-    print(f"steady: {steady_result.status} in {steady_result.iterations} "
-          f"iterations ({steady_result.wall_time:.2f} s), "
-          f"violation {steady_result.violation:.2e}")
-    if steady_result.status != "local-optimum":
-        print(f"error: steady stage: {steady_result.message}", file=sys.stderr)
-        return (EXIT_ITERATION_LIMIT
-                if steady_result.status == "iteration-limit"
-                else EXIT_INFEASIBLE)
-
-    if args.mode == "steady":
-        result, problem = steady_result, steady_problem
-    else:
-        result, problem, _ = solve_transient(
-            segnet, scenario, options,
-            steady=(steady_result, steady_problem))
-        if args.iter_log:
-            _write_log(result, out_dir / "iterations_transient.csv")
-        print(f"transient: {result.status} in {result.iterations} "
-              f"iterations ({result.wall_time:.2f} s), "
-              f"violation {result.violation:.2e}")
-        if result.status != "local-optimum":
-            print(f"error: transient stage: {result.message}", file=sys.stderr)
-            return (EXIT_ITERATION_LIMIT
-                    if result.status == "iteration-limit"
-                    else EXIT_INFEASIBLE)
+    log_dir = out_dir if args.iter_log else None
+    result, problem = solve_steady(segnet, scenario, options)
+    code = _stage("steady", result, log_dir)
+    if code == EXIT_OK and args.mode == "transient":
+        result, problem, _ = solve_transient(segnet, scenario, options,
+                                             steady=(result, problem))
+        code = _stage("transient", result, log_dir)
+    if code != EXIT_OK:
+        return code
 
     if args.export_nlp:
-        problem.export_debug(out_dir / "nlp_debug")
-
+        export_nlp(problem, out_dir / "nlp_debug")
     trajectory = SolutionTrajectory.from_solution(problem, result.x)
     write_solution(trajectory, out_dir)
     report = _audit(trajectory, segnet, scenario, args.tol, out_dir)
@@ -225,8 +193,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return run(args)
-    except (ParseError, AssemblyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    # h2blend raises OSError only where it reads inputs or writes outputs
+    except (ParseError, DomainError, OSError) as exc:
+        for line in str(exc).splitlines():
+            print(f"error: {line}", file=sys.stderr)
         return EXIT_PARSE
     except Exception as exc:                 # pragma: no cover - safety net
         print(f"error: unexpected failure: {exc}", file=sys.stderr)

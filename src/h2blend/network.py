@@ -225,13 +225,17 @@ def parse_network(document: dict) -> Network:
     return net
 
 
+def read_json(path: str | Path):
+    """The JSON document in ``path``.  Text that is not JSON (or not in a
+    JSON encoding) is a ParseError; a file that cannot be read, an OSError."""
+    try:
+        return json.loads(Path(path).read_bytes())
+    except ValueError as exc:        # JSONDecodeError or UnicodeDecodeError
+        raise ParseError(f"{path}: invalid JSON ({exc})") from exc
+
+
 def load_network(path: str | Path) -> Network:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON ({exc})") from exc
-    return parse_network(doc)
+    return parse_network(read_json(path))
 
 
 def validate_topology(net: Network) -> list[str]:
@@ -301,12 +305,11 @@ class SegmentedNetwork:
     nodes: tuple[Node, ...]                  # original nodes followed by auxiliaries
     segments: tuple[Segment, ...]
     compressors: tuple[Compressor, ...]
-    dL: float
 
 
 def segment_pipes(net: Network, dL: float) -> SegmentedNetwork:
     """Split every pipe into ceil(L/dL) equal-length segments; a dL that
-    would make more than MAX_SEGMENTS segments is a ValueError.
+    would make more than MAX_SEGMENTS segments is a ParseError.
 
     Auxiliary node ids are deterministic: ``<pipe id>.<segment index>``.
     Auxiliary nodes are junctions carrying the parent pipe's endpoint
@@ -314,13 +317,13 @@ def segment_pipes(net: Network, dL: float) -> SegmentedNetwork:
     cannot be split.
     """
     if dL <= 0.0:
-        raise ValueError(f"segmentation length must be positive, got {dL}")
+        raise ParseError(f"segmentation length must be positive, got {dL}")
     quotients = [pipe.L / dL for pipe in net.pipes]
     # each quotient is compared before math.ceil, which fails on an
     # infinite one (a dL near the smallest positive float)
     counts = [max(1, math.ceil(q - 1e-12)) for q in quotients if q <= MAX_SEGMENTS]
     if len(counts) < len(quotients) or sum(counts) > MAX_SEGMENTS:
-        raise ValueError(f"segmentation length {dL} m would split the pipes into "
+        raise ParseError(f"segmentation length {dL} m would split the pipes into "
                          f"more than {MAX_SEGMENTS} segments")
     nodes = list(net.nodes)
     segments: list[Segment] = []
@@ -331,7 +334,7 @@ def segment_pipes(net: Network, dL: float) -> SegmentedNetwork:
         p_min = max(frm_node.p_min, to_node.p_min)
         p_max = min(frm_node.p_max, to_node.p_max)
         if count > 1 and p_min >= p_max:
-            raise ValueError(
+            raise ParseError(
                 f"pipe {pipe.id!r}: endpoint pressure ranges do not overlap "
                 f"(auxiliary junctions would need [{p_min}, {p_max}] Pa)")
         prev = pipe.from_node
@@ -348,7 +351,7 @@ def segment_pipes(net: Network, dL: float) -> SegmentedNetwork:
             prev = nxt
     return SegmentedNetwork(
         original=net, nodes=tuple(nodes), segments=tuple(segments),
-        compressors=net.compressors, dL=dL,
+        compressors=net.compressors,
     )
 
 
@@ -425,12 +428,18 @@ class Scenario:
         if ratio > MAX_TIME_STEPS + 0.5:
             raise ParseError(f"scenario: dt={self.dt} h gives more than "
                              f"{MAX_TIME_STEPS} time steps over the horizon {self.T_f} h")
-        if abs(ratio - round(ratio)) > 1e-9:
+        if round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9:
             raise ParseError(
                 f"scenario: dt={self.dt} h does not divide the horizon {self.T_f} h"
             )
         if not 0.0 <= self.xi <= 1.0:
             raise ParseError(f"scenario: xi must be in [0, 1], got {self.xi}")
+        # the compression work constant divides by G and by mu - 1
+        for key, value, low in (("mu", self.mu, 1.0), ("G", self.G, 0.0),
+                                ("T", self.T_suction, 0.0)):
+            if not value > low:
+                raise ParseError(f"scenario.compressor_cost: {key} must be "
+                                 f"greater than {low:g}, got {value}")
 
     @property
     def n_steps(self) -> int:
@@ -517,9 +526,4 @@ def parse_scenario(document: dict) -> Scenario:
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON ({exc})") from exc
-    return parse_scenario(doc)
+    return parse_scenario(read_json(path))

@@ -3,13 +3,16 @@
 A SolutionTrajectory holds the optimization result re-dimensionalized to
 SI units (densities kg/m^3, flows kg/s, pressures Pa, energies MJ/s).
 Serialization writes one CSV per entity family with 17 significant
-digits so a read-back reproduces every value exactly.
+digits so a read-back reproduces every value exactly.  Every CSV file
+h2blend writes goes through write_csv: these, the per-iteration logs and
+the exported NLP tables.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Optional
 
@@ -107,77 +110,83 @@ class SolutionTrajectory:
         return getattr(self, quantity)[k]
 
 
+def write_csv(path: Path, header, rows) -> Path:
+    """Write a header row and then ``rows`` as one CSV file; returns the path."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
+def _rows(times, entities, columns):
+    """[time, *labels, *values] per entity and time step ("" for a None column)."""
+    for k, labels in enumerate(entities):
+        for t, time in enumerate(times):
+            yield [time, *labels, *("" if c is None else _fmt(c[k, t]) for c in columns)]
+
+
 def write_solution(trajectory: SolutionTrajectory, out_dir) -> list:
     """Write nodes/edges/transfers/objective CSV files; returns the paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     tr = trajectory
-    paths = []
+    times = [_fmt(time) for time in tr.times]
+    econ = tr.economics
+    return [
+        write_csv(out / "nodes.csv", ["time_h", "node", "rho_H2_kg_m3",
+                                      "rho_NG_kg_m3", "eta", "p_Pa", "p_MPa"],
+                  _rows(times, [(nid,) for nid in tr.node_ids],
+                        (tr.rho_H2, tr.rho_NG, tr.eta, tr.p, tr.p / 1e6))),
+        write_csv(out / "edges.csv", ["time_h", "edge", "kind", "parent",
+                                      "f0_kg_s", "fL_kg_s", "alpha"],
+                  chain(_rows(times, [(sid, "segment", parent) for sid, parent
+                                      in zip(tr.segment_ids, tr.segment_parents)],
+                              (tr.f0, tr.fL, None)),
+                        _rows(times, [(cid, "compressor", cid)
+                                      for cid in tr.compressor_ids],
+                              (tr.fc, tr.fc, tr.alpha)))),
+        write_csv(out / "transfers.csv",
+                  ["time_h", "node", "q_s_kg_s", "q_w_kg_s", "g_E_MJ_s"],
+                  chain(_rows(times, [(nid,) for nid in tr.supply_ids],
+                              (tr.qs, None, None)),
+                        _rows(times, [(nid,) for nid in tr.withdrawal_ids],
+                              (None, tr.qw, tr.gE)))),
+        write_csv(out / "objective.csv", ["R_e_usd", "R_c_usd", "objective"],
+                  [[_fmt(econ.get(key, 0.0)) for key in
+                    ("economic_cost_usd", "compression_cost_usd", "objective")]]),
+    ]
 
-    path = out / "nodes.csv"
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["time_h", "node", "rho_H2_kg_m3", "rho_NG_kg_m3",
-                     "eta", "p_Pa", "p_MPa"])
-        for k, nid in enumerate(tr.node_ids):
-            for t, time in enumerate(tr.times):
-                wr.writerow([_fmt(time), nid, _fmt(tr.rho_H2[k, t]),
-                             _fmt(tr.rho_NG[k, t]), _fmt(tr.eta[k, t]),
-                             _fmt(tr.p[k, t]), _fmt(tr.p[k, t] / 1e6)])
-    paths.append(path)
 
-    path = out / "edges.csv"
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["time_h", "edge", "kind", "parent",
-                     "f0_kg_s", "fL_kg_s", "alpha"])
-        for e, sid in enumerate(tr.segment_ids):
-            for t, time in enumerate(tr.times):
-                wr.writerow([_fmt(time), sid, "segment", tr.segment_parents[e],
-                             _fmt(tr.f0[e, t]), _fmt(tr.fL[e, t]), ""])
-        for e, cid in enumerate(tr.compressor_ids):
-            for t, time in enumerate(tr.times):
-                wr.writerow([_fmt(time), cid, "compressor", cid,
-                             _fmt(tr.fc[e, t]), _fmt(tr.fc[e, t]),
-                             _fmt(tr.alpha[e, t])])
-    paths.append(path)
-
-    path = out / "transfers.csv"
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["time_h", "node", "q_s_kg_s", "q_w_kg_s", "g_E_MJ_s"])
-        for k, nid in enumerate(tr.supply_ids):
-            for t, time in enumerate(tr.times):
-                wr.writerow([_fmt(time), nid, _fmt(tr.qs[k, t]), "", ""])
-        for k, nid in enumerate(tr.withdrawal_ids):
-            for t, time in enumerate(tr.times):
-                wr.writerow([_fmt(time), nid, "", _fmt(tr.qw[k, t]),
-                             _fmt(tr.gE[k, t])])
-    paths.append(path)
-
-    path = out / "objective.csv"
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        econ = tr.economics
-        wr.writerow(["R_e_usd", "R_c_usd", "objective"])
-        wr.writerow([_fmt(econ.get("economic_cost_usd", 0.0)),
-                     _fmt(econ.get("compression_cost_usd", 0.0)),
-                     _fmt(econ.get("objective", 0.0))])
-    paths.append(path)
-    return paths
+def export_nlp(problem: NlpProblem, out_dir) -> list:
+    """Write the variable, constraint and Jacobian sparsity tables of an
+    assembled problem as CSV files, for debugging; returns the paths."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    rows, cols = problem.jacobian_sparsity()
+    return [
+        write_csv(out / "variables.csv", ["name", "lower", "upper"],
+                  ([name, repr(lo), repr(hi)] for name, lo, hi
+                   in zip(problem.index.names(), problem.lb, problem.ub))),
+        write_csv(out / "constraints.csv", ["name", "kind", "lower", "upper"],
+                  chain(([name, "equality", "0.0", "0.0"]
+                         for name in problem.eq_names()),
+                        ([name, "inequality", repr(lo), repr(hi)] for name, lo, hi
+                         in zip(problem.ineq_names(), problem.ineq_lb,
+                                problem.ineq_ub)))),
+        write_csv(out / "jacobian_sparsity.csv", ["row", "col"],
+                  zip(rows.tolist(), cols.tolist())),
+    ]
 
 
 def read_solution(out_dir) -> SolutionTrajectory:
     """Read a solution written by write_solution (exact round-trip)."""
-    out = Path(out_dir)
-    with open(out / "nodes.csv") as fh:
-        node_rows = list(csv.DictReader(fh))
-    with open(out / "edges.csv") as fh:
-        edge_rows = list(csv.DictReader(fh))
-    with open(out / "transfers.csv") as fh:
-        transfer_rows = list(csv.DictReader(fh))
-    with open(out / "objective.csv") as fh:
-        obj_rows = list(csv.DictReader(fh))
+    def rows(name: str) -> list:
+        with open(Path(out_dir) / name) as fh:
+            return list(csv.DictReader(fh))
+
+    node_rows, edge_rows, transfer_rows, obj_rows = map(
+        rows, ("nodes.csv", "edges.csv", "transfers.csv", "objective.csv"))
 
     times = sorted({float(r["time_h"]) for r in node_rows})
     t_index = {_fmt(t): i for i, t in enumerate(times)}

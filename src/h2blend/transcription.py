@@ -12,19 +12,13 @@ compressor ratio and flow, supply flows, withdrawal flows and energies.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
-from .network import Node, Scenario, SegmentedNetwork
+from .network import Node, ParseError, Scenario, SegmentedNetwork
 from .physics import nondim_scales, pipe_beta
-
-
-class AssemblyError(ValueError):
-    """The problem data are inconsistent (for example crossed bounds)."""
 
 
 @dataclass(frozen=True)
@@ -152,10 +146,10 @@ class NlpProblem:
         self.eta_s = np.array([scn.supply_fraction(node_by_id[nid], grid.points)
                                for nid in idx.supply_ids]).reshape(-1, N)
         if np.any((self.eta_s < 0.0) | (self.eta_s > 1.0)):
-            raise AssemblyError("supply concentration profile leaves [0, 1]")
+            raise ParseError("supply concentration profile leaves [0, 1]")
         for nid in scn.profiles:
             if nid not in idx.supply_ids:
-                raise AssemblyError(f"profiles[{nid!r}]: not a supply node")
+                raise ParseError(f"profiles[{nid!r}]: not a supply node")
 
         # --- bounds --------------------------------------------------------
         n = idx.total
@@ -186,7 +180,7 @@ class NlpProblem:
             else:
                 setb("ge", k, 0.0, node.gE_max / self.energy0)
         if np.any(lb > ub):
-            raise AssemblyError("crossed variable bounds")
+            raise ParseError("crossed variable bounds")
         self.lb, self.ub = lb, ub
 
         # --- entities -------------------------------------------------------
@@ -371,7 +365,7 @@ class NlpProblem:
         # has fewer distinct columns.
         kept = np.nonzero(low.reshape(len(segs), N, 36)[:, 0])[1]
         if len(kept) != 21 * len(segs):
-            raise AssemblyError("a pipe segment starts and ends at the same node")
+            raise ParseError("a pipe segment starts and ends at the same node")
         a, b = np.divmod(kept.reshape(len(segs), 21), 6)
         first = np.arange(len(segs))[:, None] * N
         u_a, u_b = self.mom_dphi[first, a], self.mom_dphi[first, b]
@@ -570,29 +564,6 @@ class NlpProblem:
         N = self.grid.n_points
         return [f"pressure[{self.index.node_ids[k]},{t}]"
                 for k in self.press_pos for t in range(N)]
-
-    def export_debug(self, out_dir: str | Path):
-        """Write variable, constraint and sparsity tables as CSV."""
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "variables.csv", "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["name", "lower", "upper"])
-            for name, lo, hi in zip(self.index.names(), self.lb, self.ub):
-                wr.writerow([name, repr(lo), repr(hi)])
-        with open(out / "constraints.csv", "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["name", "kind", "lower", "upper"])
-            for name in self.eq_names():
-                wr.writerow([name, "equality", "0.0", "0.0"])
-            for name, lo, hi in zip(self.ineq_names(), self.ineq_lb, self.ineq_ub):
-                wr.writerow([name, "inequality", repr(lo), repr(hi)])
-        rows, cols = self.jacobian_sparsity()
-        with open(out / "jacobian_sparsity.csv", "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["row", "col"])
-            for r, c in zip(rows.tolist(), cols.tolist()):
-                wr.writerow([r, c])
 
 
 def assemble_nlp(segnet: SegmentedNetwork, scenario: Scenario, grid: TimeGrid,

@@ -200,12 +200,10 @@ def periodicity_check(trajectory: SolutionTrajectory, cycles: int,
 
 def run_audits(trajectory: SolutionTrajectory, segnet: SegmentedNetwork,
                scenario: Scenario, feasibility_tol: float = 1e-5,
-               conservation_tol: float = 1e-6,
                periodicity_cycles: int = 0) -> AuditReport:
     """Standard post-solve audit battery."""
     report = check_feasibility(trajectory, segnet, scenario, feasibility_tol)
-    report.extend(conservation_audit(trajectory, segnet, scenario,
-                                     conservation_tol))
+    report.extend(conservation_audit(trajectory, segnet, scenario))
     report.extend(flow_direction_audit(trajectory))
     if periodicity_cycles:
         report.extend(periodicity_check(trajectory, periodicity_cycles))

@@ -12,9 +12,9 @@ from typing import Optional
 
 import numpy as np
 
-from h2blend.network import SegmentedNetwork
+from h2blend.network import ParseError, SegmentedNetwork
 from h2blend.solution import SolutionTrajectory
-from h2blend.transcription import AssemblyError, NlpProblem, TimeGrid
+from h2blend.transcription import NlpProblem, TimeGrid
 
 
 def cyclic_derivative(x_at_succ, x_at_n, dt: float):
@@ -45,7 +45,7 @@ def pipe_segment_residuals(rho_h2_i, rho_ng_i, rho_h2_j, rho_ng_j,
     p_j = c_h2 * rho_h2_j + c_ng * rho_ng_j
     rho_bar = 0.5 * (rho_h2_i + rho_ng_i + rho_h2_j + rho_ng_j)
     if rho_bar <= 0.0:
-        raise AssemblyError("average segment density must be positive")
+        raise ParseError("average segment density must be positive")
     phi_bar = (f0 + fl) / (2.0 * area_hat)
     abs_phi = math.sqrt(phi_bar ** 2 + smoothing_eps ** 2)
     r_mom = p_j - p_i + resistance * phi_bar * abs_phi / rho_bar

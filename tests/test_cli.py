@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import shutil
 
 import pytest
 
@@ -107,6 +108,30 @@ class TestArgumentsAndExitCodes:
         assert limit in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("scales", "M", 0.0, "scales must be positive"),
+        ("scales", "p0", -1.0, "scales must be positive"),
+        ("gas", "a_H2", 100.0, "sound speeds must satisfy a_H2 > a_NG > 0"),
+        ("compressor_cost", "mu", 1.0,
+         "scenario.compressor_cost: mu must be greater than 1, got 1.0"),
+        ("compressor_cost", "G", 0.0,
+         "scenario.compressor_cost: G must be greater than 0, got 0.0"),
+        ("compressor_cost", "T", 0.0,
+         "scenario.compressor_cost: T must be greater than 0, got 0.0"),
+    ], ids=["M-0", "p0-negative", "a_H2-100", "mu-1", "G-0", "T-0"])
+    def test_scenario_number_outside_the_physics(self, tmp_path, capsys,
+                                                 section, key, value, message):
+        """Finite numbers that the physics cannot use are input errors: no
+        division by zero, and no solve that prices compression at zero."""
+        doc = json.loads(bundled_path("single-pipe", "scenario").read_text())
+        doc.setdefault(section, {})[key] = value
+        scn_path = tmp_path / "scenario.json"
+        scn_path.write_text(json.dumps(doc))
+        assert run_cli("--network", bundled_path("single-pipe", "network"),
+                       "--scenario", scn_path, "--out", tmp_path / "out",
+                       "--mode", "steady") == 2
+        assert message in capsys.readouterr().err
+
     def test_bad_topology(self, tmp_path, case_files):
         net_path, scn_path = case_files
         doc = copy.deepcopy(LINE_NETWORK_DOC)
@@ -196,6 +221,45 @@ def single_pipe_out(tmp_path_factory):
     out = tmp_path_factory.mktemp("single_pipe")
     assert run_cli("--case", "single-pipe", "--out", out) == 0
     return out
+
+
+class TestUnreadableOrUnwritableFiles:
+    @pytest.mark.parametrize("blocked, content, flags", [
+        ("network.json", None, ()),
+        ("scenario.json", None, ()),
+        ("network.json", b"\xff\xfe\x00garbage", ()),
+        ("scenario.json", b"\xff\xfe\x00garbage", ()),
+        ("out/nodes.csv", None, ()),
+        ("out/nlp_debug", b"", ("--export-nlp",)),
+        ("out/iterations_steady.csv", None, ("--iter-log",)),
+        ("out/audit.json", None, ()),
+        ("out/audit.json", None, ("--mode", "validate-only")),
+    ], ids=["network-is-a-directory", "scenario-is-a-directory",
+            "network-not-text", "scenario-not-text", "nodes.csv-is-a-directory",
+            "nlp_debug-is-a-file", "iteration-log-is-a-directory",
+            "audit.json-is-a-directory", "validate-only-audit.json-is-a-directory"])
+    def test_exit_code_and_path(self, single_pipe_out, tmp_path, capsys,
+                                blocked, content, flags):
+        """An input that cannot be read or parsed, or an output that cannot
+        be written, exits 2 and names the file: ``blocked`` is made a
+        directory, or a file holding ``content``."""
+        net_path, scn_path = tmp_path / "network.json", tmp_path / "scenario.json"
+        shutil.copy(bundled_path("single-pipe", "network"), net_path)
+        shutil.copy(bundled_path("single-pipe", "scenario"), scn_path)
+        out = tmp_path / "out"
+        if "validate-only" in flags:
+            shutil.copytree(single_pipe_out, out)
+        path = tmp_path / blocked
+        path.unlink(missing_ok=True)
+        if content is None:
+            path.mkdir(parents=True)
+        else:
+            path.parent.mkdir(exist_ok=True)
+            path.write_bytes(content)
+        assert run_cli("--network", net_path, "--scenario", scn_path, "--out", out,
+                       *(flags if "validate-only" in flags
+                         else ("--mode", "steady", *flags))) == 2
+        assert str(path) in capsys.readouterr().err
 
 
 class TestValidateOnly:

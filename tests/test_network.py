@@ -261,6 +261,11 @@ class TestParseScenario:
         with pytest.raises(ParseError, match="divide"):
             parse_scenario({"horizon_hours": 24.0, "dt_hours": 0.7})
 
+    def test_horizon_shorter_than_dt(self):
+        """A horizon that rounds to zero time steps is no grid at all."""
+        with pytest.raises(ParseError, match="divide"):
+            parse_scenario({"horizon_hours": 1e-300, "dt_hours": 0.5})
+
     def test_xi_range(self):
         with pytest.raises(ParseError, match="xi"):
             parse_scenario({"xi": 1.5})

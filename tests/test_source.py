@@ -1,10 +1,13 @@
-"""The package holds no test-only code.
+"""The package holds no test-only code, and reads and writes files one way.
 
 Every top-level function or class in ``src/h2blend`` and every method
 that is not a dunder must be named somewhere in the package or in the
 benchmark (``perfbench/``), or be exported through ``h2blend.__all__``.
 Reference computations that only the tests use live in
 ``tests/reference_forms.py``.
+
+JSON documents are read only by ``network.read_json``, and CSV files are
+written only by ``solution.write_csv``.
 """
 
 import ast
@@ -47,3 +50,36 @@ def test_every_definition_has_a_caller():
               for line, name in _definitions(_parse(path)) if name not in referenced]
     assert not unused, ("used in neither src/h2blend nor perfbench/, and not "
                         "exported: " + ", ".join(unused))
+
+
+# (module, name) of each reader or writer, and the one function that may use it
+SINGLE_PATHS = {("json", "load"): "read_json", ("json", "loads"): "read_json",
+                ("csv", "writer"): "write_csv", ("csv", "DictWriter"): "write_csv"}
+
+
+def _module_names(tree):
+    """(line, enclosing function, module, name) of each ``module.name``
+    reference and each ``from module import name``; the function is None
+    at module level."""
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, child.name)
+                continue
+            if isinstance(child, ast.Attribute) and isinstance(child.value, ast.Name):
+                yield child.lineno, function, child.value.id, child.attr
+            elif isinstance(child, ast.ImportFrom):
+                for alias in child.names:
+                    yield child.lineno, function, child.module, alias.name
+            yield from visit(child, function)
+    return visit(tree, None)
+
+
+def test_json_read_and_csv_written_in_one_place():
+    stray = [f"{path.name}:{line} {module}.{name} in {function}"
+             for path in PACKAGE
+             for line, function, module, name in _module_names(_parse(path))
+             if (module, name) in SINGLE_PATHS
+             and function != SINGLE_PATHS[module, name]]
+    assert not stray, ("json.load(s) belongs in read_json and csv.writer in "
+                       "write_csv only: " + ", ".join(stray))

@@ -13,7 +13,8 @@ from h2blend.network import (
     parse_scenario,
     segment_pipes,
 )
-from h2blend.transcription import AssemblyError, TimeGrid, assemble_nlp
+from h2blend.solution import export_nlp
+from h2blend.transcription import TimeGrid, assemble_nlp
 from reference_forms import (
     compatibility_residuals,
     compressor_residual,
@@ -86,7 +87,7 @@ class TestAssemblyErrors:
             node_id: {"type": "sinusoid", "eta0": 0.1, "delta": 0.05}})
         segnet = segment_pipes(line_network(), scenario.dL)
         grid = TimeGrid(scenario.n_steps, scenario.dt)
-        with pytest.raises(AssemblyError,
+        with pytest.raises(ParseError,
                            match=rf"profiles\['{node_id}'\]: not a supply node"):
             assemble_nlp(segnet, scenario, grid)
 
@@ -96,7 +97,7 @@ class TestAssemblyErrors:
         scenario = short_scenario()
         segnet = segment_pipes(parse_network(doc), scenario.dL)
         grid = TimeGrid(scenario.n_steps, scenario.dt)
-        with pytest.raises(AssemblyError, match="starts and ends at the same node"):
+        with pytest.raises(ParseError, match="starts and ends at the same node"):
             assemble_nlp(segnet, scenario, grid)
 
 
@@ -355,7 +356,7 @@ class TestStructure:
             assert econ[0][key] == econ[1][key] == econ[2][key]
 
     def test_export_debug(self, small_problem, tmp_path):
-        small_problem.export_debug(tmp_path)
+        export_nlp(small_problem, tmp_path)
         for name in ("variables.csv", "constraints.csv",
                      "jacobian_sparsity.csv"):
             assert (tmp_path / name).stat().st_size > 0
