@@ -440,6 +440,11 @@ class Scenario:
             if not value > low:
                 raise ParseError(f"scenario.compressor_cost: {key} must be "
                                  f"greater than {low:g}, got {value}")
+        # a negative price pays the optimizer to buy gas or to compress
+        for key in ("c_H2", "c_NG", "C_E", "zeta"):
+            if getattr(self, key) < 0.0:
+                raise ParseError(f"scenario.prices: {key} must be non-negative, "
+                                 f"got {getattr(self, key)}")
 
     @property
     def n_steps(self) -> int:

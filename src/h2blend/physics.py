@@ -90,6 +90,10 @@ def nondim_scales(
     """Build the full set of nominal scales from l0, p0 and the Mach number."""
     if l0 <= 0.0 or p0 <= 0.0 or M <= 0.0:
         raise DomainError(f"scales must be positive, got l0={l0}, p0={p0}, M={M}")
+    # pipe_beta divides by M^2 and the momentum rows multiply by M^4; in this
+    # range both stay normal floats (M^4 within 1e-300 to 1e300)
+    if not 1e-75 <= M <= 1e75:
+        raise DomainError(f"scales: M must lie in [1e-75, 1e75], got {M}")
     a0 = math.sqrt(g.a_H2 * g.a_NG)
     v0 = a0 * M
     rho0 = p0 / a0 ** 2

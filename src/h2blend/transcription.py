@@ -82,12 +82,60 @@ class VariableIndex:
         return x[base:base + n_ent * self.grid.n_points].reshape(n_ent, self.grid.n_points)
 
     def names(self) -> list[str]:
-        out = []
-        for q, ids in self._entities.items():
-            for eid in ids:
-                for t in range(self.grid.n_points):
-                    out.append(f"{q}[{eid},{t}]")
-        return out
+        return [f"{q}[{eid},{t}]" for q, ids in self._entities.items()
+                for eid in ids for t in range(self.grid.n_points)]
+
+
+def _friction(p, xc, order, lam=None):
+    """Friction B phi |phi| / rho_bar on [rho_h2_i, rho_ng_i, rho_h2_j, rho_ng_j,
+    f0, fl]: phi = (f0 + fl) / 2A is the mean flux, |phi| = sqrt(phi^2 + eps^2)
+    and rho_bar the mean density."""
+    two_area = p.seg_two_area
+    rho_bar = 0.5 * (xc[:, 0] + xc[:, 1] + xc[:, 2] + xc[:, 3])
+    phi = (xc[:, 4] + xc[:, 5]) / two_area
+    s_abs = np.sqrt(phi * phi + p.smoothing_eps ** 2)
+    B = p.seg_B
+    if order == 0:
+        return B * phi * s_abs / rho_bar
+    h = 1.0 / two_area                  # d(phi) along a flow; d(rho_bar) is 0.5
+    if order == 1:
+        g_phi = B * (s_abs + phi ** 2 / s_abs) / rho_bar
+        g_rho = -B * phi * s_abs / rho_bar ** 2
+        return [g_rho * 0.5] * 4 + [g_phi * h] * 2
+    gpp = B * (3.0 * phi / s_abs - phi ** 3 / s_abs ** 3) / rho_bar
+    gpr = -B * (s_abs + phi ** 2 / s_abs) / rho_bar ** 2
+    grr = 2.0 * B * phi * s_abs / rho_bar ** 3
+    # the 10 pairs of two densities, 8 of a flow and a density, 3 of two flows
+    return ([grr * 0.5 * 0.5 * lam] * 10 + [gpr * (h * 0.5) * lam] * 8
+            + [gpp * h * h * lam] * 3)
+
+
+def _boost(p, xc, order, lam=None):
+    """Boost p_j^2 - alpha^2 p_i^2 on [rho_h2_i, rho_ng_i, rho_h2_j, rho_ng_j,
+    alpha], with p = c_h2 rho_h2 + c_ng rho_ng at the inlet i and outlet j."""
+    cH, cN = p.c_h2, p.c_ng
+    cp_i = cH * xc[:, 0] + cN * xc[:, 1]
+    cp_j = cH * xc[:, 2] + cN * xc[:, 3]
+    alpha = xc[:, 4]
+    if order == 0:
+        return cp_j ** 2 - alpha ** 2 * cp_i ** 2
+    if order == 1:
+        d_in = -2.0 * alpha ** 2 * cp_i          # along the inlet pressure
+        d_out = 2.0 * cp_j
+        return [d_in * cH, d_in * cN, d_out * cH, d_out * cN, -2.0 * alpha * cp_i ** 2]
+    out = lam * 2.0                              # at two outlet pressures
+    inl = -lam * 2.0 * alpha ** 2                # at two inlet pressures
+    r = -lam * 4.0 * alpha * cp_i                # at alpha and an inlet pressure
+    return [out * cH * cH, out * cH * cN, out * cN * cN,
+            inl * cH * cH, inl * cH * cN, inl * cN * cN,
+            r * cH, r * cN, -lam * 2.0 * cp_i ** 2]
+
+
+# Hessian pairs (a, b) of column positions, in the order the kernels list
+# their values: friction's whole lower half, boost's nine nonzero entries
+_FRICTION_PAIRS = sorted(((a, b) for a in range(6) for b in range(a + 1)),
+                         key=lambda ab: (ab[0] > 3) + (ab[1] > 3))
+_BOOST_PAIRS = [(2, 2), (2, 3), (3, 3), (0, 0), (0, 1), (1, 1), (4, 0), (4, 1), (4, 4)]
 
 
 class NlpProblem:
@@ -99,9 +147,15 @@ class NlpProblem:
     nodal concentration definition, slack pressure, withdrawal energy.
     Inequalities: nodal pressure bounds at non-slack nodes.
 
-    Every term except pipe friction and compressor boost is linear or
-    bilinear and is tabulated once at assembly; residuals, Jacobian and
-    Hessian entries all follow from those tables.
+    Linear and bilinear terms are tabulated once at assembly.  The nonlinear
+    families, friction and boost, are the entries of one table, ``kernels``;
+    a new family supplies the same four items: its slice of m rows, its
+    (m, k) columns, its nonzero Hessian column pairs (a, b) and a function
+    fn(problem, x[cols], order, lam) returning the m residual terms (order
+    0), the gradient as one array per column (1) or the second derivatives
+    as one array per pair, each times its row's multiplier in lam (2; the
+    product order sets the last bit).  All derivatives and patterns follow
+    from these tables.
 
     Every residual at time index n references only indices n and succ(n);
     evaluation order is fixed so identical inputs give identical outputs.
@@ -203,12 +257,12 @@ class NlpProblem:
         all_nodes = np.arange(len(nodes))
         self.seg_storage = np.array(
             [(s.L / sc.l0) * (s.A / sc.A0) / sc.kappa for s in segs])
-        # momentum coefficient in the stored flow units: M^4 * (1/M^2) lam L/(2D)
+        # friction coefficient in the stored flow units: M^4 * (1/M^2) lam L/(2D)
         self.seg_resistance = np.array(
             [pipe_beta(s.lam, s.L, s.D, sc.M) * sc.M ** 4 for s in segs])
         self.seg_area = np.array([s.A / sc.A0 for s in segs])
         self.seg_B = np.repeat(self.seg_resistance, N)
-        self.seg_Ah = np.repeat(self.seg_area, N)
+        self.seg_two_area = 2.0 * np.repeat(self.seg_area, N)
         # The species (H2) balance is imposed only where it is independent of
         # the total balance: supply nodes and nodes fed by a compressor (whose
         # inlet concentration is the upstream node's, not the local one).
@@ -216,8 +270,7 @@ class NlpProblem:
         species_row = np.full(len(nodes), -1)
         species_row[self.species_nodes] = np.arange(len(self.species_nodes))
         self.slack_pos = at(i for i in self.segnet.original.slack_ids if i in pos)
-        slack_set = set(self.slack_pos.tolist())
-        self.press_pos = np.array([k for k in all_nodes if k not in slack_set], dtype=int)
+        self.press_pos = np.setdiff1d(all_nodes, self.slack_pos)
 
         # --- equality rows --------------------------------------------------
         # each row family, in row order, with the ids of its entities
@@ -245,7 +298,7 @@ class NlpProblem:
             """Variable indices of entities x time steps (entity-major)."""
             return (idx.base(quantity) + ents[:, None] * N + times).ravel()
 
-        # Every residual term except friction and boost is linear,
+        # Every residual term outside the kernel table is linear,
         # coef * x[p], or bilinear, coef * x[p] * x[q]; each is listed once.
         terms = {1: [], 2: []}
 
@@ -312,33 +365,35 @@ class NlpProblem:
         self.bil_r, self.bil_p, self.bil_q, self.bil_v = (
             np.concatenate(a) for a in zip(*terms[2]))
 
-        # nonlinear rows: friction on [rho_h2_i, rho_ng_i, rho_h2_j, rho_ng_j, f0, fl]
-        # and boost on [rho_h2_i, rho_ng_i, rho_h2_j, rho_ng_j, alpha]
-        self.mom_cols = np.stack([col("rho_h2", seg_i), col("rho_ng", seg_i),
-                                  col("rho_h2", seg_j), col("rho_ng", seg_j),
-                                  col("f0", E), col("fl", E)], axis=1)
-        # d(phi_bar) and d(rho_bar) along mom_cols
-        self.mom_dphi = np.zeros(self.mom_cols.shape)
-        self.mom_dphi[:, 4:] = 0.5 / self.seg_Ah[:, None]
-        self.mom_drho = np.zeros(self.mom_cols.shape)
-        self.mom_drho[:, :4] = 0.5
-        self.mom_two_area = 2.0 * self.seg_Ah
+        # nonlinear rows: the kernel table
+        def kernel(family, cols, pairs, fn):
+            cols = np.stack(cols, axis=1)
+            repeats = np.flatnonzero((np.diff(np.sort(cols, axis=1)) == 0).any(axis=1))
+            if len(repeats):
+                eid = self.family_ids[family][repeats[0] // N]
+                raise ParseError(f"{family}: {eid!r} starts and ends at the same node")
+            first = first_row[family]
+            return slice(first, first + len(cols)), cols, np.array(pairs), fn
+
+        def ends(i, j):
+            return [col("rho_h2", i), col("rho_ng", i), col("rho_h2", j), col("rho_ng", j)]
+
         self.C_alpha = col("alpha", C)
         self.C_fc = col("fc", C)
-        self.boost_cols = np.stack([col("rho_h2", com_i), col("rho_ng", com_i),
-                                    col("rho_h2", com_j), col("rho_ng", com_j),
-                                    self.C_alpha], axis=1)
-        self.mom_rows = slice(first_row["momentum"], first_row["compressor_boost"])
-        self.boost_rows = slice(first_row["compressor_boost"], first_row["mass_balance"])
+        self.kernels = (
+            kernel("momentum", ends(seg_i, seg_j) + [col("f0", E), col("fl", E)],
+                   _FRICTION_PAIRS, _friction),
+            kernel("compressor_boost", ends(com_i, com_j) + [self.C_alpha],
+                   _BOOST_PAIRS, _boost))
 
         # Fixed Jacobian pattern.  jac_const holds the linear coefficients on
         # it; jac_slot maps each variable entry, in the order eq_jacobian
         # lists their values, to its place in the pattern.
-        jac_r = np.concatenate([lin_r, self.bil_r, self.bil_r,
-                                np.repeat(rows("momentum", E), 6),
-                                np.tile(rows("compressor_boost", C), 5)])
-        jac_c = np.concatenate([lin_c, self.bil_p, self.bil_q,
-                                self.mom_cols.ravel(), self.boost_cols.T.ravel()])
+        jac_r = np.concatenate([lin_r, self.bil_r, self.bil_r] + [
+            np.tile(np.arange(self.n_eq)[rows], cols.shape[1])
+            for rows, cols, _, _ in self.kernels])
+        jac_c = np.concatenate([lin_c, self.bil_p, self.bil_q]
+                               + [cols.T.ravel() for _, cols, _, _ in self.kernels])
         keys, slot = np.unique(jac_r * n + jac_c, return_inverse=True)
         self.jac_slot = slot[len(lin_r):]
         self.jac_const = sp.csr_matrix(
@@ -346,36 +401,16 @@ class NlpProblem:
              keys % n, np.searchsorted(keys // n, np.arange(self.n_eq + 1))),
             shape=(self.n_eq, n))
 
-        # Fixed Hessian pattern, both triangles.  Each second-derivative
-        # entry is listed once on the lower triangle, in the order
-        # lagrangian_hessian lists its values: bilinear terms, the lower
-        # half of each 6x6 friction block, boost, objective.  hess_slot maps
-        # those values, then the strictly lower ones again as their mirror
-        # image, into hess_pattern; both halves sum in the same order, so
-        # the result is exactly symmetric.
-        fric_r = np.repeat(self.mom_cols, 6, axis=1).ravel()
-        fric_c = np.tile(self.mom_cols, 6).ravel()
-        low = fric_r >= fric_c
-        # Entry (a, b) of a friction block is gpp u_a u_b + gpr (u_a w_b +
-        # w_a u_b) + grr w_a w_b (u = mom_dphi, w = mom_drho).  Which entries
-        # are kept, and u and w, depend only on the segment, not on the time
-        # step (all six columns of a row shift with t alike): the factors of
-        # each segment's kept entries, shaped to broadcast over time steps.
-        # Six distinct columns keep 21 entries; a segment whose ends coincide
-        # has fewer distinct columns.
-        kept = np.nonzero(low.reshape(len(segs), N, 36)[:, 0])[1]
-        if len(kept) != 21 * len(segs):
-            raise ParseError("a pipe segment starts and ends at the same node")
-        a, b = np.divmod(kept.reshape(len(segs), 21), 6)
-        first = np.arange(len(segs))[:, None] * N
-        u_a, u_b = self.mom_dphi[first, a], self.mom_dphi[first, b]
-        w_a, w_b = self.mom_drho[first, a], self.mom_drho[first, b]
-        self.fric_coef = np.stack([u_a, u_b, u_a * w_b + w_a * u_b, w_a, w_b])[:, :, None, :]
-        rh_i, rn_i, rh_j, rn_j, a = self.boost_cols.T
-        hess_i, hess_j = (np.concatenate(v) for v in zip(
-            (self.bil_p, self.bil_q), (fric_r[low], fric_c[low]),
-            (rh_j, rh_j), (rh_j, rn_j), (rn_j, rn_j), (rh_i, rh_i), (rh_i, rn_i),
-            (rn_i, rn_i), (a, rh_i), (a, rn_i), (a, a), (self.C_fc, a), (a, a)))
+        # Fixed Hessian pattern, both triangles.  hess_slot maps each
+        # second-derivative entry, in the order lagrangian_hessian lists them
+        # (bilinear terms, each kernel's pairs, objective), then each
+        # off-diagonal one again as its mirror image, into hess_pattern; both
+        # halves sum in the same order, so the result is exactly symmetric.
+        hess_i, hess_j = (np.concatenate(
+            [bil] + [cols[:, pairs[:, s]].T.ravel() for _, cols, pairs, _ in self.kernels]
+            + obj)
+            for s, bil, obj in ((0, self.bil_p, [self.C_fc, self.C_alpha]),
+                                (1, self.bil_q, [self.C_alpha, self.C_alpha])))
         hess_r, hess_c = np.maximum(hess_i, hess_j), np.minimum(hess_i, hess_j)
         self.hess_mirror = np.flatnonzero(hess_r > hess_c)
         keys, self.hess_slot = np.unique(
@@ -424,27 +459,12 @@ class NlpProblem:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _friction(self, x):
-        """Mean flux, its smoothed magnitude and mean density per momentum row."""
-        xm = x[self.mom_cols]
-        rho_bar = 0.5 * (xm[:, 0] + xm[:, 1] + xm[:, 2] + xm[:, 3])
-        phi = (xm[:, 4] + xm[:, 5]) / self.mom_two_area
-        return phi, np.sqrt(phi * phi + self.smoothing_eps ** 2), rho_bar
-
-    def _boost(self, x):
-        """Inlet pressure, outlet pressure and ratio per boost row."""
-        xb = x[self.boost_cols]
-        return (self.c_h2 * xb[:, 0] + self.c_ng * xb[:, 1],
-                self.c_h2 * xb[:, 2] + self.c_ng * xb[:, 3], xb[:, 4])
-
     def eq_constraints(self, x: np.ndarray) -> np.ndarray:
         out = self.A @ x - self.rhs + np.bincount(
             self.bil_r, weights=self.bil_v * x[self.bil_p] * x[self.bil_q],
             minlength=self.n_eq)
-        phi, s_abs, rho_bar = self._friction(x)
-        out[self.mom_rows] += self.seg_B * phi * s_abs / rho_bar
-        cp_i, cp_j, alpha = self._boost(x)
-        out[self.boost_rows] += cp_j ** 2 - alpha ** 2 * cp_i ** 2
+        for rows, cols, _, fn in self.kernels:
+            out[rows] += fn(self, x[cols], 0)
         return out
 
     def ineq_constraints(self, x: np.ndarray) -> np.ndarray:
@@ -452,20 +472,10 @@ class NlpProblem:
 
     def eq_jacobian(self, x: np.ndarray) -> sp.csr_matrix:
         """Linear coefficients plus, per bilinear term, coef * x[q] in
-        column p and coef * x[p] in column q, plus friction and boost."""
-        phi, s_abs, rho_bar = self._friction(x)
-        g_phi = self.seg_B * (s_abs + phi ** 2 / s_abs) / rho_bar
-        g_rho = -self.seg_B * phi * s_abs / rho_bar ** 2
-        cp_i, cp_j, alpha = self._boost(x)
-        # boost derivatives along the inlet and outlet pressures
-        d_in = -2.0 * alpha ** 2 * cp_i
-        d_out = 2.0 * cp_j
-        vals = np.concatenate([
-            self.bil_v * x[self.bil_q], self.bil_v * x[self.bil_p],
-            (g_phi[:, None] * self.mom_dphi + g_rho[:, None] * self.mom_drho).ravel(),
-            # boost, one column of boost_cols after the other
-            d_in * self.c_h2, d_in * self.c_ng, d_out * self.c_h2, d_out * self.c_ng,
-            -2.0 * alpha * cp_i ** 2])
+        column p and coef * x[p] in column q, plus each kernel's gradient."""
+        vals = np.concatenate(
+            [self.bil_v * x[self.bil_q], self.bil_v * x[self.bil_p]]
+            + [v for _, cols, _, fn in self.kernels for v in fn(self, x[cols], 1)])
         J = self.jac_const
         return sp.csr_matrix(
             (J.data + np.bincount(self.jac_slot, weights=vals, minlength=J.nnz),
@@ -517,36 +527,14 @@ class NlpProblem:
         The values are written into the pattern fixed at assembly, in the
         order of ``hess_slot``.
         """
-        # friction: the kept lower-half entries of each block
-        phi, s_abs, rho_bar = self._friction(x)
-        gpp = self.seg_B * (3.0 * phi / s_abs - phi ** 3 / s_abs ** 3) / rho_bar
-        gpr = -self.seg_B * (s_abs + phi ** 2 / s_abs) / rho_bar ** 2
-        grr = 2.0 * self.seg_B * phi * s_abs / rho_bar ** 3
-        by_time = (-1, self.grid.n_points, 1)          # (segment, time step, entry)
-        u_a, u_b, uw, w_a, w_b = self.fric_coef
-        fric = (gpp.reshape(by_time) * u_a * u_b + gpr.reshape(by_time) * uw
-                + grr.reshape(by_time) * w_a * w_b) * lam_eq[self.mom_rows].reshape(by_time)
-        # boost: out = 2 lam4 at the outlet pressures, inl = -2 lam4 alpha^2
-        # at the inlet ones, r = -4 lam4 alpha cp_i at (alpha, inlet)
-        lam4 = lam_eq[self.boost_rows]
-        cp_i, _, alpha = self._boost(x)
-        cH, cN = self.c_h2, self.c_ng
-        out = lam4 * 2.0
-        inl = -lam4 * 2.0 * alpha ** 2
-        r = -lam4 * 4.0 * alpha * cp_i
-        out_h, inl_h = out * cH, inl * cH
+        alpha = x[self.C_alpha]
         sq = np.sqrt(alpha)
-        vals = np.concatenate([
-            lam_eq[self.bil_r] * self.bil_v,          # bilinear terms at (p, q)
-            fric.ravel(),                             # friction, lower half
-            # boost at outlet (rh_j, rh_j), (rh_j, rn_j), (rn_j, rn_j)
-            out_h * cH, out_h * cN, out * cN * cN,
-            # boost at inlet (rh_i, rh_i), (rh_i, rn_i), (rn_i, rn_i)
-            inl_h * cH, inl_h * cN, inl * cN * cN,
-            # boost (alpha, rh_i), (alpha, rn_i), (alpha, alpha)
-            r * cH, r * cN, -lam4 * 2.0 * cp_i ** 2,
+        vals = np.concatenate(
+            [lam_eq[self.bil_r] * self.bil_v]                 # bilinear terms at (p, q)
+            + [v for rows, cols, _, fn in self.kernels
+               for v in fn(self, x[cols], 2, lam_eq[rows])]
             # objective curvature (fc, alpha), (alpha, alpha)
-            self.obj_wc / (2.0 * sq), -self.obj_wc * x[self.C_fc] / (4.0 * alpha * sq)])
+            + [self.obj_wc / (2.0 * sq), -self.obj_wc * x[self.C_fc] / (4.0 * alpha * sq)])
         H = self.hess_pattern
         return sp.csr_matrix(
             (np.bincount(self.hess_slot, minlength=H.nnz,

@@ -118,11 +118,17 @@ class TestArgumentsAndExitCodes:
          "scenario.compressor_cost: G must be greater than 0, got 0.0"),
         ("compressor_cost", "T", 0.0,
          "scenario.compressor_cost: T must be greater than 0, got 0.0"),
-    ], ids=["M-0", "p0-negative", "a_H2-100", "mu-1", "G-0", "T-0"])
+        ("prices", "zeta", -1.0, "scenario.prices: zeta must be non-negative, got -1.0"),
+        ("prices", "c_H2", -5.0, "scenario.prices: c_H2 must be non-negative, got -5.0"),
+        ("scales", "M", 1e300, "scales: M must lie in [1e-75, 1e75], got 1e+300"),
+        ("scales", "M", 1e-300, "scales: M must lie in [1e-75, 1e75], got 1e-300"),
+    ], ids=["M-0", "p0-negative", "a_H2-100", "mu-1", "G-0", "T-0", "zeta-negative",
+            "c_H2-negative", "M-1e300", "M-1e-300"])
     def test_scenario_number_outside_the_physics(self, tmp_path, capsys,
                                                  section, key, value, message):
         """Finite numbers that the physics cannot use are input errors: no
-        division by zero, and no solve that prices compression at zero."""
+        division by zero or overflow, no solve that prices compression at
+        zero, and no negative price that pays for buying gas or compressing."""
         doc = json.loads(bundled_path("single-pipe", "scenario").read_text())
         doc.setdefault(section, {})[key] = value
         scn_path = tmp_path / "scenario.json"

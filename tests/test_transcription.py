@@ -9,6 +9,7 @@ from h2blend.cli import bundled_path
 from h2blend.network import (
     ParseError,
     load_network,
+    load_scenario,
     parse_network,
     parse_scenario,
     segment_pipes,
@@ -92,13 +93,19 @@ class TestAssemblyErrors:
             assemble_nlp(segnet, scenario, grid)
 
     def test_pipe_segment_from_a_node_to_itself(self):
-        doc = copy.deepcopy(LINE_NETWORK_DOC)
-        doc["pipes"].append({"id": "P9", "from": "N3", "to": "N3", "L": 10000.0, "D": 0.9})
+        """A pipe segment or a compressor whose ends coincide repeats a
+        column in its nonlinear row."""
         scenario = short_scenario()
-        segnet = segment_pipes(parse_network(doc), scenario.dL)
         grid = TimeGrid(scenario.n_steps, scenario.dt)
-        with pytest.raises(ParseError, match="starts and ends at the same node"):
-            assemble_nlp(segnet, scenario, grid)
+        for key, edge in (("pipes", {"id": "P9", "from": "N3", "to": "N3",
+                                     "L": 10000.0, "D": 0.9}),
+                          ("compressors", {"id": "C9", "from": "N3", "to": "N3",
+                                           "fc_max": 100.0})):
+            doc = copy.deepcopy(LINE_NETWORK_DOC)
+            doc[key] = [*doc.get(key, []), edge]
+            segnet = segment_pipes(parse_network(doc), scenario.dL)
+            with pytest.raises(ParseError, match="starts and ends at the same node"):
+                assemble_nlp(segnet, scenario, grid)
 
 
 class TestCountingFormula:
@@ -256,27 +263,45 @@ class TestDerivatives:
         assert derivative_check(small_problem, n_points=5) <= 1e-6
 
     def test_hessian_matches_finite_differences(self, small_problem):
-        p = small_problem
-        rng = np.random.default_rng(11)
-        x = random_point(p, seed=7)
-        lam = rng.standard_normal(p.n_eq)
-        H = p.lagrangian_hessian(x, lam)
-        assert abs(H - H.T).max() == 0.0
+        check_hessian(small_problem, np.random.default_rng(11))
 
-        def grad_lag(v):
-            return p.gradient(v) + p.eq_jacobian(v).T @ lam
+    def test_eight_node_hessian_matches_finite_differences(self):
+        """C2 (J5 to J4) and C3 (J4 to J5) share boost Hessian entries, and
+        three pipes' friction blocks meet at J4: check every column of both
+        ends and of the three compressors at one time step."""
+        scenario = load_scenario(bundled_path("eight-node", "scenario"))
+        segnet = segment_pipes(load_network(bundled_path("eight-node", "network")),
+                               scenario.dL)
+        p = assemble_nlp(segnet, scenario, TimeGrid(scenario.n_steps, scenario.dt))
+        idx, N = p.index, p.grid.n_points
+        shared = [idx.base(q) + idx.node_pos[nid] * N + 5
+                  for q in ("rho_h2", "rho_ng") for nid in ("J4", "J5")]
+        shared += [idx.base("alpha") + k * N + 5 for k in range(3)]
+        check_hessian(p, np.random.default_rng(12), shared)
 
-        h = 1e-6
-        cols = rng.choice(p.index.total, size=15, replace=False)
-        for k in cols:
-            xp = x.copy()
-            xp[k] += h
-            xm = x.copy()
-            xm[k] -= h
-            fd = (grad_lag(xp) - grad_lag(xm)) / (2.0 * h)
-            ana = np.asarray(H[:, k].todense()).ravel()
-            err = np.abs(fd - ana).max() / max(1.0, np.abs(ana).max())
-            assert err <= 1e-6
+
+def check_hessian(p, rng, extra_cols=()):
+    """The Hessian is exactly symmetric and matches central differences of
+    the Lagrangian gradient in 15 random columns and ``extra_cols``."""
+    x = random_point(p, seed=7)
+    lam = rng.standard_normal(p.n_eq)
+    H = p.lagrangian_hessian(x, lam)
+    assert abs(H - H.T).max() == 0.0
+
+    def grad_lag(v):
+        return p.gradient(v) + p.eq_jacobian(v).T @ lam
+
+    h = 1e-6
+    cols = [*rng.choice(p.index.total, size=15, replace=False), *extra_cols]
+    for k in cols:
+        xp = x.copy()
+        xp[k] += h
+        xm = x.copy()
+        xm[k] -= h
+        fd = (grad_lag(xp) - grad_lag(xm)) / (2.0 * h)
+        ana = np.asarray(H[:, k].todense()).ravel()
+        err = np.abs(fd - ana).max() / max(1.0, np.abs(ana).max())
+        assert err <= 1e-6
 
 
 class TestStructure:
