@@ -59,10 +59,6 @@ class Pipe:
     lam: float                               # Darcy friction factor
     A: float                                 # m^2
 
-    @staticmethod
-    def area(D: float) -> float:
-        return math.pi * D ** 2 / 4.0
-
 
 @dataclass(frozen=True)
 class Compressor:
@@ -132,22 +128,42 @@ def _number(value, where: str, key: str) -> float:
     return number
 
 
+def _entries(document: dict, key: str, seen: set[str]):
+    """(id, location, entry) of each entry of the array ``document[key]``.
+    Ids are non-empty strings, unique across every array read with the same
+    ``seen``."""
+    for entry in _objects(document, key):
+        eid = entry.get("id")
+        where = f"{key}[{eid!r}]"
+        _require(isinstance(eid, str) and eid, where, "missing id")
+        _require(eid not in seen, where, "duplicate id")
+        seen.add(eid)
+        yield eid, where, entry
+
+
+def _ends(entry: dict, where: str, node_ids: set[str]) -> tuple[str, str]:
+    """The ``from`` and ``to`` of a pipe or compressor: two different nodes."""
+    ends = entry.get("from"), entry.get("to")
+    for nid in ends:
+        _require(isinstance(nid, str) and nid in node_ids, where,
+                 f"unknown node reference {nid!r}")
+    _require(ends[0] != ends[1], where, "starts and ends at the same node")
+    return ends
+
+
 def parse_network(document: dict) -> Network:
     """Build a Network from a parsed JSON document.
 
     Raises ParseError (with the offending array and id in the message) for
-    unknown node references, duplicate ids, missing slack nodes or negative
-    parameters.
+    a missing or duplicate id (ids are unique across nodes, pipes and
+    compressors), a pipe or compressor whose ends are not two different
+    nodes, a network without a slack node, role data on a node of another
+    role, and numbers that are missing, not finite or out of range.
     """
     _object(document, "network")
-    nodes = []
     seen: set[str] = set()
-    for entry in _objects(document, "nodes"):
-        nid = entry.get("id")
-        where = f"nodes[{nid!r}]"
-        _require(isinstance(nid, str) and nid, where, "missing id")
-        _require(nid not in seen, where, "duplicate id")
-        seen.add(nid)
+    nodes = []
+    for nid, where, entry in _entries(document, "nodes", seen):
         role = entry.get("role", "junction")
         _require(role in ROLES, where, f"unknown role {role!r}")
         p_min = _number(entry.get("p_min", 3.0e6), where, "p_min")
@@ -181,38 +197,22 @@ def parse_network(document: dict) -> Network:
                      "withdrawal node needs gE_max or gE_fixed")
         nodes.append(Node(id=nid, role=role, p_min=p_min, p_max=p_max,
                           p_slack=p_slack, eta_s=eta_s, gE_max=gE_max, gE_fixed=gE_fixed))
-
-    def check_endpoint(where, nid):
-        _require(nid in seen, where, f"unknown node reference {nid!r}")
+    node_ids = {n.id for n in nodes}
 
     pipes = []
-    for entry in _objects(document, "pipes"):
-        pid = entry.get("id")
-        where = f"pipes[{pid!r}]"
-        _require(isinstance(pid, str) and pid, where, "missing id")
-        _require(pid not in seen, where, "duplicate id")
-        seen.add(pid)
-        frm, to = entry.get("from"), entry.get("to")
-        check_endpoint(where, frm)
-        check_endpoint(where, to)
+    for pid, where, entry in _entries(document, "pipes", seen):
+        frm, to = _ends(entry, where, node_ids)
         L = _number(entry.get("L"), where, "L")
         D = _number(entry.get("D"), where, "D")
         lam = _number(entry.get("lambda", 0.01), where, "lambda")
-        A = _number(entry.get("A", Pipe.area(D)), where, "A")
+        A = _number(entry.get("A", math.pi * D ** 2 / 4.0), where, "A")
         _require(L > 0 and D > 0 and A > 0, where, "L, D, A must be positive")
         _require(lam > 0, where, "friction factor must be positive")
         pipes.append(Pipe(id=pid, from_node=frm, to_node=to, L=L, D=D, lam=lam, A=A))
 
     compressors = []
-    for entry in _objects(document, "compressors"):
-        cid = entry.get("id")
-        where = f"compressors[{cid!r}]"
-        _require(isinstance(cid, str) and cid, where, "missing id")
-        _require(cid not in seen, where, "duplicate id")
-        seen.add(cid)
-        frm, to = entry.get("from"), entry.get("to")
-        check_endpoint(where, frm)
-        check_endpoint(where, to)
+    for cid, where, entry in _entries(document, "compressors", seen):
+        frm, to = _ends(entry, where, node_ids)
         alpha_max = _number(entry.get("alpha_max", 2.0), where, "alpha_max")
         fc_max = _number(entry.get("fc_max"), where, "fc_max")
         _require(alpha_max >= 1.0, where, "alpha_max must be >= 1")
@@ -239,48 +239,21 @@ def load_network(path: str | Path) -> Network:
 
 
 def validate_topology(net: Network) -> list[str]:
-    """Return a list of diagnostics; an empty list means the topology is sound.
-
-    Checks connectivity, presence of a slack node per component, self-loops,
-    and that no node holds both an injection and a withdrawal role (only one
-    of supply and withdrawal flow may be positive at a node).
+    """Return a list of diagnostics, one per node that no chain of pipes and
+    compressors joins to the first node; an empty list means the network is
+    connected.  Everything else about the graph is checked by parse_network.
     """
-    diags: list[str] = []
-    edges = [(p.from_node, p.to_node, p.id) for p in net.pipes] + [
-        (c.from_node, c.to_node, c.id) for c in net.compressors
-    ]
-    for frm, to, eid in edges:
-        if frm == to:
-            diags.append(f"self-loop on edge {eid!r}")
-    # undirected connectivity from the first node
     adjacency: dict[str, set[str]] = {n.id: set() for n in net.nodes}
-    for frm, to, _ in edges:
-        if frm != to:
-            adjacency[frm].add(to)
-            adjacency[to].add(frm)
-    if net.nodes:
-        reached = {net.nodes[0].id}
-        stack = [net.nodes[0].id]
-        while stack:
-            for nxt in sorted(adjacency[stack.pop()]):
-                if nxt not in reached:
-                    reached.add(nxt)
-                    stack.append(nxt)
-        for n in net.nodes:
-            if n.id not in reached:
-                diags.append(f"unreachable node {n.id!r}")
-    slack = set(net.slack_ids)
-    if not slack:
-        diags.append("no slack node in network")
-    # roles are encoded as a single field, but a document may still try to give
-    # a withdrawal node supply data (or vice versa); flag the exclusivity.
-    for n in net.nodes:
-        if n.role == "withdrawal" and n.eta_s is not None:
-            diags.append(
-                f"node {n.id!r} mixes injection and withdrawal roles; "
-                "only one of supply and withdrawal flow may be positive"
-            )
-    return diags
+    for edge in (*net.pipes, *net.compressors):
+        adjacency[edge.from_node].add(edge.to_node)
+        adjacency[edge.to_node].add(edge.from_node)
+    reached = {net.nodes[0].id}
+    stack = [net.nodes[0].id]
+    while stack:
+        for nxt in adjacency[stack.pop()] - reached:
+            reached.add(nxt)
+            stack.append(nxt)
+    return [f"unreachable node {n.id!r}" for n in net.nodes if n.id not in reached]
 
 
 @dataclass(frozen=True)
@@ -311,7 +284,8 @@ def segment_pipes(net: Network, dL: float) -> SegmentedNetwork:
     """Split every pipe into ceil(L/dL) equal-length segments; a dL that
     would make more than MAX_SEGMENTS segments is a ParseError.
 
-    Auxiliary node ids are deterministic: ``<pipe id>.<segment index>``.
+    Auxiliary node ids are deterministic: ``<pipe id>.<segment index>``;
+    a network node that already holds one of them is a ParseError.
     Auxiliary nodes are junctions carrying the parent pipe's endpoint
     pressure bounds; a pipe whose endpoint pressure ranges do not overlap
     cannot be split.
@@ -326,6 +300,7 @@ def segment_pipes(net: Network, dL: float) -> SegmentedNetwork:
         raise ParseError(f"segmentation length {dL} m would split the pipes into "
                          f"more than {MAX_SEGMENTS} segments")
     nodes = list(net.nodes)
+    node_ids = {n.id for n in nodes}
     segments: list[Segment] = []
     for pipe, count in zip(net.pipes, counts):
         seg_len = pipe.L / count
@@ -342,6 +317,8 @@ def segment_pipes(net: Network, dL: float) -> SegmentedNetwork:
             last = k == count - 1
             nxt = pipe.to_node if last else f"{pipe.id}.{k + 1}"
             if not last:
+                _require(nxt not in node_ids, f"nodes[{nxt!r}]",
+                         f"id taken by an auxiliary junction of pipe {pipe.id!r}")
                 nodes.append(Node(id=nxt, role="junction", p_min=p_min, p_max=p_max))
             segments.append(
                 Segment(id=f"{pipe.id}.s{k + 1}", parent=pipe.id,
@@ -355,26 +332,14 @@ def segment_pipes(net: Network, dL: float) -> SegmentedNetwork:
     )
 
 
-def injection_profile(eta0: float, delta: float, nu: float, t, T: float):
-    """Sinusoidal supply concentration eta0 + delta*sin(2 pi nu t / T).
-
-    ``t`` may be a scalar or an array of times in hours; ``T`` is the period
-    basis in hours.  The result lies in [eta0 - delta, eta0 + delta].
-    """
-    if not (0.0 <= eta0 - abs(delta) and eta0 + abs(delta) <= 1.0):
-        raise ValueError(
-            f"eta0 +/- delta must stay within [0, 1], got eta0={eta0}, delta={delta}"
-        )
-    return eta0 + delta * np.sin(2.0 * np.pi * nu * np.asarray(t, dtype=float) / T)
-
-
 @dataclass(frozen=True)
 class Profile:
     """Time profile for supply concentration: sinusoid or sampled series.
 
     Sampled series are piecewise constant over each sampling interval and
     periodic: before the first sample time the last value still holds,
-    carried over from the previous period.  Sinusoids are evaluated
+    carried over from the previous period.  Sinusoids,
+    ``eta0 + delta*sin(2*pi*nu*t/T)`` with T the period, are evaluated
     exactly at grid points.
     """
 
@@ -390,8 +355,8 @@ class Profile:
         if self.kind == "constant":
             return np.full_like(t, self.eta0)
         if self.kind == "sinusoid":
-            return np.asarray(injection_profile(self.eta0, self.delta, self.nu,
-                                                t, period_hours))
+            return self.eta0 + self.delta * np.sin(
+                2.0 * np.pi * self.nu * t / period_hours)
         # before the first sample the index is -1, which picks the last value
         idx = np.searchsorted(np.asarray(self.times), t, side="right") - 1
         return np.asarray(self.values, dtype=float)[idx]

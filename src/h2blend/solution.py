@@ -68,7 +68,6 @@ class SolutionTrajectory:
     qw: np.ndarray                           # (withdrawals, N), kg/s
     gE: np.ndarray                           # MJ/s
     economics: dict = field(default_factory=dict)
-    dt_hours: float = 0.0
     # the problem from_solution read, which the audits reuse; None for a
     # trajectory read from disk
     problem: Optional[NlpProblem] = field(default=None, compare=False, repr=False)
@@ -76,6 +75,11 @@ class SolutionTrajectory:
     @property
     def n_steps(self) -> int:
         return len(self.times)
+
+    @property
+    def dt_hours(self) -> float:
+        """The time step; 0.0 for a steady (one-step) trajectory."""
+        return float(self.times[1] - self.times[0]) if self.n_steps > 1 else 0.0
 
     @classmethod
     def from_solution(cls, problem: NlpProblem, x: np.ndarray) -> "SolutionTrajectory":
@@ -94,7 +98,6 @@ class SolutionTrajectory:
             **{name: idx.block(x, block) * scale
                for name, block, scale in _series(problem)},
             economics=problem.economics(x),
-            dt_hours=problem.grid.dt,
             problem=problem,
         )
 
@@ -209,7 +212,6 @@ def read_solution(out_dir) -> SolutionTrajectory:
         economics = {"economic_cost_usd": float(obj_rows[0]["R_e_usd"]),
                      "compression_cost_usd": float(obj_rows[0]["R_c_usd"]),
                      "objective": float(obj_rows[0]["objective"])}
-    dt = times[1] - times[0] if N > 1 else 0.0
     return SolutionTrajectory(
         times=np.array(times), node_ids=node_ids,
         segment_ids=seg_ids, segment_parents=[parents[s] for s in seg_ids],
@@ -217,5 +219,5 @@ def read_solution(out_dir) -> SolutionTrajectory:
         supply_ids=supply_ids, withdrawal_ids=wd_ids,
         rho_H2=rho_h2, rho_NG=rho_ng, eta=eta, p=p,
         f0=f0, fL=fL, alpha=alpha, fc=fc, qs=qs, qw=qw, gE=gE,
-        economics=economics, dt_hours=dt,
+        economics=economics,
     )

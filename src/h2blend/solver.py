@@ -98,10 +98,6 @@ class SolveResult:
     # step, regularization
     log: list = field(default_factory=list)
 
-    @property
-    def success(self) -> bool:
-        return self.status == "local-optimum"
-
 
 class _BarrierProblem:
     """Slack-augmented view: variables y = [x; s], all inequalities become

@@ -47,9 +47,6 @@ class AuditReport:
         """Overall verdict; advisory checks warn but do not fail the audit."""
         return all(c.passed or c.advisory for c in self.checks)
 
-    def failures(self) -> list:
-        return [c for c in self.checks if not c.passed and not c.advisory]
-
     def to_json(self) -> str:
         return json.dumps(
             {"passed": self.passed,

@@ -139,7 +139,7 @@ class TestCriterion7SteadyOracle:
         scenario = short_scenario()
         segnet = segment_pipes(line_network(eta_s=0.0), scenario.dL)
         result, problem = solve_steady(segnet, scenario)
-        assert result.success
+        assert result.status == "local-optimum"
         tr = SolutionTrajectory.from_solution(problem, result.x)
         g = GasConstants()
         qw = tr.qw[0, 0]
@@ -165,10 +165,10 @@ class TestCriterion8SteadyLimit:
         segnet = segment_pipes(net, flat.dL)
         options = SolverOptions(kkt_tol=1e-8)
         steady_result, steady_problem = solve_steady(segnet, flat, options)
-        assert steady_result.success
+        assert steady_result.status == "local-optimum"
         result, problem, _ = solve_transient(
             segnet, flat, options, steady=(steady_result, steady_problem))
-        assert result.success
+        assert result.status == "local-optimum"
         tiled = replicate_steady(steady_result.x, problem)
         assert np.abs(result.x - tiled).max() <= 1e-6
 

@@ -67,6 +67,30 @@ class TestArgumentsAndExitCodes:
                        "--out", tmp_path / "out") == 2
         assert "profiles['N9']: not a supply node" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, entry, message", [
+        ("pipes", {"id": "P2", "from": "P1", "to": "N3", "L": 5000.0, "D": 0.9},
+         "pipes['P2']: unknown node reference 'P1'"),
+        ("compressors", {"id": "C1", "from": "N1", "to": "P1", "fc_max": 100.0},
+         "compressors['C1']: unknown node reference 'P1'"),
+        ("nodes", {"id": "P1.1", "role": "junction"},
+         "nodes['P1.1']: id taken by an auxiliary junction of pipe 'P1'"),
+    ], ids=["pipe-from-a-pipe", "compressor-to-a-pipe", "node-P1.1"])
+    def test_edge_end_that_is_not_a_free_node(self, tmp_path, case_files, capsys,
+                                              key, entry, message):
+        """An edge end that names a pipe or compressor, and a node that
+        holds the id of a pipe's auxiliary junction, are input errors (the
+        junction P1.1 is wired to N3 by a pipe P2 of its own)."""
+        net_path, scn_path = case_files
+        doc = copy.deepcopy(LINE_NETWORK_DOC)
+        doc.setdefault(key, []).append(entry)
+        if key == "nodes":
+            doc["pipes"].append({"id": "P2", "from": "N3", "to": "P1.1",
+                                 "L": 5000.0, "D": 0.9})
+        net_path.write_text(json.dumps(doc))
+        assert run_cli("--network", net_path, "--scenario", scn_path,
+                       "--out", tmp_path / "out", "--mode", "steady") == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("args, edit", [
         (("--tol", 0), None), (("--tol", -1), None), (("--tol", "nan"), None),
         (("--tol", "inf"), None), (("--dt", "nan"), None), (("--dt", "inf"), None),

@@ -15,10 +15,8 @@ from conftest import (
 )
 from h2blend.network import (
     ParseError,
-    Pipe,
     Profile,
     Scenario,
-    injection_profile,
     load_network,
     load_scenario,
     parse_network,
@@ -48,16 +46,39 @@ class TestParseNetwork:
         assert net.supply_ids == ("N1",)
 
     def test_duplicate_id(self):
+        """Ids are unique across nodes, pipes and compressors."""
         d = doc()
         d["nodes"].append(dict(d["nodes"][1]))
         with pytest.raises(ParseError, match=r"nodes\['N3'\].*duplicate"):
             parse_network(d)
+        d = doc()
+        d["compressors"] = [{"id": "P1", "from": "N1", "to": "N3", "fc_max": 100.0}]
+        with pytest.raises(ParseError, match=re.escape("compressors['P1']: duplicate id")):
+            parse_network(d)
 
     def test_unknown_endpoint(self):
-        d = doc()
-        d["pipes"][0]["to"] = "missing"
-        with pytest.raises(ParseError, match="unknown node reference"):
-            parse_network(d)
+        """An end must name a node: not a missing id, not a pipe or
+        compressor, and not a value that is no string at all."""
+        edge = {"id": "E9", "from": "N1", "L": 1000.0, "D": 0.9, "fc_max": 100.0}
+        for key in ("pipes", "compressors"):
+            for to in ("missing", "P1", "E9", ["N3"]):
+                d = doc()
+                d[key] = [*d.get(key, []), {**edge, "to": to}]
+                with pytest.raises(ParseError, match=re.escape(
+                        f"{key}['E9']: unknown node reference {to!r}")):
+                    parse_network(d)
+
+    def test_self_loop(self):
+        """A pipe or compressor from a node to itself is rejected whatever
+        the segment length would make of it later."""
+        for key, edge in (("pipes", {"L": 1000.0, "D": 0.9}),
+                          ("pipes", {"L": 30000.0, "D": 0.9}),
+                          ("compressors", {"fc_max": 100.0})):
+            d = doc()
+            d[key] = [*d.get(key, []), {"id": "E9", "from": "N3", "to": "N3", **edge}]
+            with pytest.raises(ParseError, match=re.escape(
+                    f"{key}['E9']: starts and ends at the same node")):
+                parse_network(d)
 
     def test_missing_slack(self):
         d = doc()
@@ -154,14 +175,7 @@ class TestValidateTopology:
         d = doc()
         d["nodes"].append({"id": "N9", "role": "junction"})
         diags = validate_topology(parse_network(d))
-        assert any("unreachable" in m and "N9" in m for m in diags)
-
-    def test_self_loop(self):
-        d = doc()
-        d["pipes"].append({"id": "P9", "from": "N3", "to": "N3",
-                           "L": 1000.0, "D": 0.9})
-        diags = validate_topology(parse_network(d))
-        assert any("self-loop" in m for m in diags)
+        assert diags == ["unreachable node 'N9'"]
 
 
 class TestSegmentPipes:
@@ -204,6 +218,18 @@ class TestSegmentPipes:
         # one segment creates no auxiliary junction, so nothing is crossed
         assert len(segment_pipes(net, 1.0e6).segments) == 1
 
+    def test_rejects_a_node_holding_an_auxiliary_id(self):
+        d = doc()
+        d["nodes"].append({"id": "P1.1", "role": "junction"})
+        d["pipes"].append({"id": "P2", "from": "N3", "to": "P1.1",
+                           "L": 5000.0, "D": 0.9})
+        net = parse_network(d)
+        with pytest.raises(ParseError, match=re.escape(
+                "nodes['P1.1']: id taken by an auxiliary junction of pipe 'P1'")):
+            segment_pipes(net, 10000.0)
+        # unsplit, P1 makes no auxiliary junction
+        assert len(segment_pipes(net, 30000.0).segments) == 2
+
     def test_rejects_non_positive_dl(self):
         with pytest.raises(ValueError):
             segment_pipes(line_network(), 0.0)
@@ -222,14 +248,16 @@ class TestSegmentPipes:
 class TestProfiles:
     def test_sinusoid_shape(self):
         t = np.linspace(0.0, 24.0, 49)
-        vals = injection_profile(0.1, 0.05, 2.0, t, 24.0)
+        vals = Profile(kind="sinusoid", eta0=0.1, delta=0.05, nu=2.0).evaluate(t, 24.0)
         assert vals.max() == pytest.approx(0.15, abs=1e-12)
         assert vals.min() == pytest.approx(0.05, abs=1e-12)
         assert vals[0] == pytest.approx(0.1)
 
     def test_sinusoid_must_stay_in_unit_interval(self):
-        with pytest.raises(ValueError):
-            injection_profile(0.03, 0.05, 1.0, 0.0, 24.0)
+        with pytest.raises(ParseError, match=re.escape(
+                "profiles['N1']: eta0 +/- delta must stay within [0, 1]")):
+            parse_scenario({"profiles": {"N1": {
+                "type": "sinusoid", "eta0": 0.03, "delta": 0.05, "nu": 1.0}}})
 
     def test_series_is_piecewise_constant(self):
         prof = Profile(kind="series", times=(0.0, 6.0, 12.0),

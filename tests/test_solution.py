@@ -4,7 +4,7 @@ import pytest
 from conftest import line_network, short_scenario
 from h2blend.network import segment_pipes
 from h2blend.solution import SolutionTrajectory, read_solution, write_solution
-from h2blend.solver import solve_transient
+from h2blend.solver import solve_steady, solve_transient
 
 
 @pytest.fixture(scope="module")
@@ -13,7 +13,15 @@ def solved_case():
         "N1": {"type": "sinusoid", "eta0": 0.1, "delta": 0.02, "nu": 1.0}})
     segnet = segment_pipes(line_network(), scenario.dL)
     result, problem, _ = solve_transient(segnet, scenario)
-    assert result.success
+    assert result.status == "local-optimum"
+    return result, problem
+
+
+@pytest.fixture(scope="module")
+def steady_case():
+    scenario = short_scenario()
+    result, problem = solve_steady(segment_pipes(line_network(), scenario.dL), scenario)
+    assert result.status == "local-optimum"
     return result, problem
 
 
@@ -51,20 +59,23 @@ class TestTrajectory:
 
 
 class TestSerialization:
-    def test_round_trip_is_exact(self, solved_case, tmp_path):
-        result, problem = solved_case
-        tr = SolutionTrajectory.from_solution(problem, result.x)
-        write_solution(tr, tmp_path)
-        back = read_solution(tmp_path)
-        assert back.node_ids == tr.node_ids
-        assert back.segment_ids == tr.segment_ids
-        assert back.segment_parents == tr.segment_parents
-        assert back.supply_ids == tr.supply_ids
-        for name in ("times", "rho_H2", "rho_NG", "eta", "p", "f0", "fL",
-                     "alpha", "fc", "qs", "qw", "gE"):
-            assert np.array_equal(getattr(back, name), getattr(tr, name)), name
-        for key in ("economic_cost_usd", "compression_cost_usd", "objective"):
-            assert back.economics[key] == tr.economics[key]
+    def test_round_trip_is_exact(self, solved_case, steady_case, tmp_path):
+        """A transient and a steady (one-step) solution read back equal."""
+        for (result, problem), out in ((solved_case, tmp_path / "transient"),
+                                       (steady_case, tmp_path / "steady")):
+            tr = SolutionTrajectory.from_solution(problem, result.x)
+            write_solution(tr, out)
+            back = read_solution(out)
+            assert back.node_ids == tr.node_ids
+            assert back.segment_ids == tr.segment_ids
+            assert back.segment_parents == tr.segment_parents
+            assert back.supply_ids == tr.supply_ids
+            assert back.dt_hours == tr.dt_hours
+            for name in ("times", "rho_H2", "rho_NG", "eta", "p", "f0", "fL",
+                         "alpha", "fc", "qs", "qw", "gE"):
+                assert np.array_equal(getattr(back, name), getattr(tr, name)), name
+            for key in ("economic_cost_usd", "compression_cost_usd", "objective"):
+                assert back.economics[key] == tr.economics[key]
 
     def test_writes_expected_files(self, solved_case, tmp_path):
         result, problem = solved_case

@@ -91,14 +91,14 @@ class TestInteriorPointOnQuadratics:
     def test_unconstrained_vertex_satisfies_the_equality(self):
         prob = QuadraticProblem()
         result = solve_nlp(prob, np.array([0.0, 0.0]))
-        assert result.success
+        assert result.status == "local-optimum"
         assert result.x == pytest.approx([2.0, -1.0], abs=1e-6)
         assert result.objective == pytest.approx(0.0, abs=1e-10)
 
     def test_active_upper_bound(self):
         prob = QuadraticProblem(ub=(1.0, np.inf))
         result = solve_nlp(prob, np.array([0.0, 0.0]))
-        assert result.success
+        assert result.status == "local-optimum"
         assert result.x == pytest.approx([1.0, 0.0], abs=1e-6)
         assert result.objective == pytest.approx(2.0, abs=1e-6)
 
@@ -114,7 +114,7 @@ class TestInteriorPointOnQuadratics:
         result = solve_nlp(prob, np.array([40.0, -40.0]),
                            SolverOptions(max_iter=1))
         assert result.status == "iteration-limit"
-        assert not result.success
+        assert result.status != "local-optimum"
 
 
 def steady_line_case(eta_s=0.0, **scenario_overrides):
@@ -174,7 +174,7 @@ class TestFixedKktPattern:
         steady_calls = list(kkt_factorizations)
         kkt_factorizations.clear()
         result, _, _ = solve_transient(segnet, scenario, steady=steady)
-        assert result.success
+        assert result.status == "local-optimum"
         for calls in (steady_calls, kkt_factorizations):
             # one factorization or more per iteration but the converged last
             assert len(calls) >= 4
@@ -204,7 +204,7 @@ class TestFixedKktPattern:
 
         monkeypatch.setattr(_InteriorPoint, "_solve_kkt", counted_solve_kkt)
         result = solve_nlp(ConcaveProblem(ub=(5.0, 5.0)), np.array([0.0, 0.0]))
-        assert result.success
+        assert result.status == "local-optimum"
         assert result.x == pytest.approx([-4.0, 5.0], abs=1e-6)
         # the first direction needs retries after its COLAMD factorization,
         # and later directions need retries too
@@ -236,7 +236,7 @@ class TestFixedKktPattern:
         kkt_factorizations.clear()
         directions.clear()
         result, _, _ = solve_transient(segnet, scenario, steady=steady)
-        assert result.success
+        assert result.status == "local-optimum"
         assert len(directions) >= 4
         # stored matrices are K[q][:, q] with q = argsort(perm_c) of the
         # solve's first factorization, so K = stored[perm_c][:, perm_c]
@@ -265,7 +265,7 @@ class TestFixedKktPattern:
         segnet, scenario = steady_line_case(profiles={
             "N1": {"type": "sinusoid", "eta0": 0.1, "delta": 0.05}})
         steady = solve_steady(segnet, scenario)
-        assert steady[0].success
+        assert steady[0].status == "local-optimum"
         assert len(built) >= 4 and all(K is built[0] for K in built)
         assert len(kkt_factorizations) == len(built)
         K = built[0]
@@ -296,7 +296,7 @@ class TestSteadyState:
     def test_matches_closed_form_for_pure_ng(self):
         segnet, scenario = steady_line_case(eta_s=0.0)
         result, problem = solve_steady(segnet, scenario)
-        assert result.success
+        assert result.status == "local-optimum"
         tr = SolutionTrajectory.from_solution(problem, result.x)
         g = GasConstants()
         # the full energy demand is profitable, so qw = gE_max / R_NG
@@ -316,7 +316,7 @@ class TestSteadyState:
     def test_blended_supply_concentration_propagates(self):
         segnet, scenario = steady_line_case(eta_s=0.1)
         result, problem = solve_steady(segnet, scenario)
-        assert result.success
+        assert result.status == "local-optimum"
         tr = SolutionTrajectory.from_solution(problem, result.x)
         for nid in tr.node_ids:
             assert tr.node_series(nid, "eta")[0] == pytest.approx(0.1, abs=1e-7)
@@ -359,11 +359,11 @@ class TestOneEvaluationPerIterate:
     def test_converged_solves(self, calls):
         segnet, scenario = steady_line_case()
         steady = solve_steady(segnet, scenario)
-        assert steady[0].success
+        assert steady[0].status == "local-optimum"
         assert calls == {"eq_jacobian": steady[0].iterations, "restore": 0}
         calls["eq_jacobian"] = 0
         result, _, _ = solve_transient(segnet, scenario, steady=steady)
-        assert result.success
+        assert result.status == "local-optimum"
         assert calls == {"eq_jacobian": result.iterations, "restore": 0}
 
     def test_iteration_limit_evaluates_the_last_iterate(self, calls):
@@ -394,7 +394,7 @@ class TestOneEvaluationPerIterate:
         counted(_BarrierProblem, "jacobian_t_dot")
         segnet, scenario = steady_line_case()
         result, _, steady_result = solve_transient(segnet, scenario)
-        assert steady_result.success and result.success
+        assert steady_result.status == result.status == "local-optimum"
         result, _, _ = solve_transient(*restoration_line_case())
         assert result.status == "infeasible"
         assert calls["evaluate"] > 0
@@ -416,7 +416,7 @@ class TestOneEvaluationPerIterate:
         monkeypatch.setattr(NlpProblem, "eq_constraints", recorded_eq_constraints)
         segnet, scenario = steady_line_case()
         result, _, steady_result = solve_transient(segnet, scenario)
-        assert steady_result.success and result.success
+        assert steady_result.status == result.status == "local-optimum"
         n_converged = len(points)
         result, _, _ = solve_transient(*restoration_line_case())
         assert result.status == "infeasible"
@@ -506,11 +506,11 @@ class TestTransient:
         segnet, scenario = steady_line_case(eta_s=0.1)
         options = SolverOptions(kkt_tol=1e-8)
         steady_result, steady_problem = solve_steady(segnet, scenario, options)
-        assert steady_result.success
+        assert steady_result.status == "local-optimum"
         result, problem, _ = solve_transient(
             segnet, scenario, options,
             steady=(steady_result, steady_problem))
-        assert result.success
+        assert result.status == "local-optimum"
         tiled = replicate_steady(steady_result.x, problem)
         assert np.abs(result.x - tiled).max() <= 1e-6
 
@@ -534,7 +534,7 @@ class TestTransient:
             "N1": {"type": "sinusoid", "eta0": 0.1, "delta": 0.01, "nu": 1.0}})
         segnet = segment_pipes(parse_network(doc), scenario.dL)
         result, problem, steady_result = solve_transient(segnet, scenario)
-        assert steady_result.success and result.success
+        assert steady_result.status == result.status == "local-optimum"
         tr = SolutionTrajectory.from_solution(problem, result.x)
         assert tr.gE == pytest.approx(np.full((1, scenario.n_steps), 5000.0),
                                       abs=1e-6)
@@ -546,7 +546,7 @@ class TestTransient:
         alt_seg = segment_pipes(line_network(eta_s=0.1), alt_scn.dL)
         r1, p1 = solve_steady(base_seg, base_scn)
         r2, p2 = solve_steady(alt_seg, alt_scn)
-        assert r1.success and r2.success
+        assert r1.status == r2.status == "local-optimum"
         t1 = SolutionTrajectory.from_solution(p1, r1.x)
         t2 = SolutionTrajectory.from_solution(p2, r2.x)
         assert t1.p == pytest.approx(t2.p, rel=1e-6)
@@ -566,7 +566,7 @@ class TestTransient:
         monkeypatch.setattr(_InteriorPoint, "evaluate", counted_evaluate)
         segnet, scenario = steady_line_case(eta_s=0.1)
         result, _ = solve_steady(segnet, scenario)
-        assert result.success
+        assert result.status == "local-optimum"
         assert len(result.log) == len(evaluations) - 1 == result.iterations - 1
         assert [row["iteration"] for row in result.log] == \
             list(range(1, result.iterations))
@@ -579,7 +579,7 @@ class TestTransient:
         steady = solve_steady(segnet, scenario)
         result, _, _ = solve_transient(segnet, scenario, steady=steady)
         for r in (steady[0], result):
-            assert r.success
+            assert r.status == "local-optimum"
             assert r.log[-1]["kkt"] == r.kkt_residual <= SolverOptions().kkt_tol
 
     def test_library_solve_writes_no_file(self, tmp_path, monkeypatch):
@@ -589,7 +589,7 @@ class TestTransient:
         monkeypatch.chdir(tmp_path)
         segnet, scenario = steady_line_case(eta_s=0.1)
         result, _, steady_result = solve_transient(segnet, scenario)
-        assert steady_result.success and result.success
+        assert steady_result.status == result.status == "local-optimum"
         assert steady_result.log and result.log
         assert opened == [] and list(tmp_path.iterdir()) == []
 

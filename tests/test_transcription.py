@@ -1,16 +1,17 @@
-import copy
+import dataclasses
+import re
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import LINE_NETWORK_DOC, SHORT_SCENARIO_DOC, line_network, short_scenario
+from conftest import SHORT_SCENARIO_DOC, line_network, short_scenario
 from h2blend.cli import bundled_path
 from h2blend.network import (
+    Compressor,
     ParseError,
     load_network,
     load_scenario,
-    parse_network,
     parse_scenario,
     segment_pipes,
 )
@@ -94,18 +95,22 @@ class TestAssemblyErrors:
 
     def test_pipe_segment_from_a_node_to_itself(self):
         """A pipe segment or a compressor whose ends coincide repeats a
-        column in its nonlinear row."""
+        column in its nonlinear row.  parse_network rejects such an edge,
+        so the segmented network is built by hand."""
         scenario = short_scenario()
         grid = TimeGrid(scenario.n_steps, scenario.dt)
-        for key, edge in (("pipes", {"id": "P9", "from": "N3", "to": "N3",
-                                     "L": 10000.0, "D": 0.9}),
-                          ("compressors", {"id": "C9", "from": "N3", "to": "N3",
-                                           "fc_max": 100.0})):
-            doc = copy.deepcopy(LINE_NETWORK_DOC)
-            doc[key] = [*doc.get(key, []), edge]
-            segnet = segment_pipes(parse_network(doc), scenario.dL)
-            with pytest.raises(ParseError, match="starts and ends at the same node"):
-                assemble_nlp(segnet, scenario, grid)
+        segnet = segment_pipes(line_network(), scenario.dL)
+        loop = {"from_node": "N3", "to_node": "N3"}
+        segment = dataclasses.replace(segnet.segments[0], id="P9.s1", **loop)
+        compressor = Compressor(id="C9", alpha_max=2.0, fc_max=100.0, **loop)
+        for where, edited in (
+                ("momentum: 'P9.s1'", dataclasses.replace(
+                    segnet, segments=(*segnet.segments, segment))),
+                ("compressor_boost: 'C9'", dataclasses.replace(
+                    segnet, compressors=(compressor,)))):
+            with pytest.raises(ParseError, match=re.escape(
+                    f"{where} starts and ends at the same node")):
+                assemble_nlp(edited, scenario, grid)
 
 
 class TestCountingFormula:

@@ -29,7 +29,7 @@ def solved_case():
                          "nu": 2.0}})
     segnet = segment_pipes(line_network(), scenario.dL)
     result, problem, _ = solve_transient(segnet, scenario)
-    assert result.success
+    assert result.status == "local-optimum"
     tr = SolutionTrajectory.from_solution(problem, result.x)
     return tr, segnet, scenario, problem
 
@@ -48,8 +48,7 @@ def synthetic_trajectory(shift_steps=2, N=24):
         eta=np.vstack([up, down]), p=zeros.copy(),
         f0=np.zeros((0, N)), fL=np.zeros((0, N)),
         alpha=np.zeros((0, N)), fc=np.zeros((0, N)),
-        qs=np.zeros((0, N)), qw=np.zeros((0, N)), gE=np.zeros((0, N)),
-        dt_hours=1.0)
+        qs=np.zeros((0, N)), qw=np.zeros((0, N)), gE=np.zeros((0, N)))
 
 
 class TestLagAnalysis:
@@ -93,7 +92,7 @@ class TestFeasibility:
         bad.rho_H2[1, 2] *= 1.1
         report = check_feasibility(bad, segnet, scenario)
         assert not report.passed
-        names = [c.name for c in report.failures()]
+        names = [c.name for c in report.checks if not c.passed and not c.advisory]
         assert any(n.startswith("residual/") for n in names)
 
     def test_smoothing_free_reevaluation_matches_at_moderate_flows(self):
@@ -184,7 +183,8 @@ class TestReporting:
         report.add("b", False, 2.0, 1.0)
         report.add("c", False, 2.0, 1.0, advisory=True)
         assert not report.passed
-        assert [c.name for c in report.failures()] == ["b"]
+        marks = [line.split()[:2] for line in report.to_text().splitlines()[:-1]]
+        assert marks == [["[PASS]", "a:"], ["[FAIL]", "b:"], ["[WARN]", "c:"]]
 
 
 class TestOneProblemPerSolveAndAudit:
@@ -202,7 +202,7 @@ class TestOneProblemPerSolveAndAudit:
         segnet = segment_pipes(load_network(bundled_path("eight-node", "network")),
                                scenario.dL)
         result, problem = solve_steady(segnet, scenario)
-        assert result.success
+        assert result.status == "local-optimum"
         tr = SolutionTrajectory.from_solution(problem, result.x)
         report = run_audits(tr, segnet, scenario)
         assert report.passed
