@@ -100,21 +100,9 @@ def _load_inputs(args):
     return net, scenario
 
 
-def _periodicity_cycles(scenario) -> int:
-    cycles = set()
-    for profile in scenario.profiles.values():
-        if profile.kind == "sinusoid" and profile.delta != 0.0:
-            nu = profile.nu
-            if abs(nu - round(nu)) < 1e-9 and round(nu) >= 2:
-                cycles.add(int(round(nu)))
-    return min(cycles) if len(cycles) == 1 else 0
-
-
 def _audit(trajectory, segnet, scenario, tol: float, out_dir: Path):
     """Run the post-solve audits, write audit.json and audit.txt, print."""
-    report = run_audits(trajectory, segnet, scenario,
-                        feasibility_tol=10.0 * tol,
-                        periodicity_cycles=_periodicity_cycles(scenario))
+    report = run_audits(trajectory, segnet, scenario, feasibility_tol=10.0 * tol)
     (out_dir / "audit.json").write_text(report.to_json())
     (out_dir / "audit.txt").write_text(report.to_text() + "\n")
     print(report.to_text())
@@ -168,8 +156,7 @@ def run(args) -> int:
     result, problem = solve_steady(segnet, scenario, options)
     code = _stage("steady", result, log_dir)
     if code == EXIT_OK and args.mode == "transient":
-        result, problem, _ = solve_transient(segnet, scenario, options,
-                                             steady=(result, problem))
+        result, problem = solve_transient(segnet, scenario, result.x, options)
         code = _stage("transient", result, log_dir)
     if code != EXIT_OK:
         return code

@@ -24,12 +24,14 @@ system, the line search, restoration and the iteration log all read
 that record; restoration evaluates each of its own points once.  What
 does not depend on the iterate is computed once per solve: the index
 sets of the finite bounds and the constant Jacobian rows.
-The Jacobian and the KKT matrix live on sparsity patterns fixed by their
-first evaluation: an iterate keeps only the Jacobian's values, one CSC
-matrix per solve holds the KKT matrix and is refilled in place for every
-factorization attempt, and a Hessian or Jacobian whose pattern differs
-from the first is an error.  Every KKT factorization, the first one's
-included, uses SuperLU with one-column panels.
+The Jacobian and the KKT matrix live on the sparsity patterns that the
+problem fixes at assembly (``jac_const`` and ``hess_pattern``): its
+evaluations return only the values on them, and values that do not fit
+their pattern are an error.  An iterate keeps only the Jacobian's values;
+one CSC matrix, set up on the patterns when the solve starts, holds the
+KKT matrix and is refilled in place for every factorization attempt.
+Every KKT factorization, the first one's included, uses SuperLU with
+one-column panels.
 solve_steady and solve_transient return the problem they solved; a
 trajectory read from it keeps that problem, so the post-solve audit
 re-evaluates feasibility with the exact |phi| on the solve's own NLP
@@ -132,8 +134,14 @@ class _BarrierProblem:
              np.concatenate([P.indptr + np.arange(n_s + 1),
                              P.nnz + n_s + np.arange(1, n_fix + 1)])),
             shape=(n_s + n_fix, self.n_y))
-        self._j_eq = None                    # first equality Jacobian (pattern)
-        self.j_pattern = None                # CSR pattern of [J_eq; constant rows]
+        # CSR pattern of [J_eq; constant rows]
+        J = problem.jac_const
+        self.j_pattern = sp.csr_matrix(
+            (np.zeros(J.nnz + self._const_rows.nnz),
+             np.concatenate([J.indices, self._const_rows.indices]),
+             np.concatenate([J.indptr, J.nnz + self._const_rows.indptr[1:]])),
+            shape=(self.m, self.n_y))
+        self._j_rows = np.repeat(np.arange(self.m), np.diff(self.j_pattern.indptr))
 
     def split(self, y):
         return y[:self.n_x], y[self.n_x:]
@@ -145,19 +153,10 @@ class _BarrierProblem:
 
     def jacobian(self, y) -> np.ndarray:
         """Values of the equality rows then the constant rows, in the order
-        of the CSR pattern ``j_pattern`` fixed by the first equality
-        Jacobian; each call returns new values."""
-        j_eq = self.p.eq_jacobian(y[:self.n_x])
-        if self._j_eq is None:
-            self._j_eq = j_eq
-            self.j_pattern = sp.csr_matrix(
-                (np.zeros(j_eq.nnz + self._const_rows.nnz),
-                 np.concatenate([j_eq.indices, self._const_rows.indices]),
-                 np.concatenate([j_eq.indptr, j_eq.nnz + self._const_rows.indptr[1:]])),
-                shape=(self.m, self.n_y))
-            self._j_rows = np.repeat(np.arange(self.m), np.diff(self.j_pattern.indptr))
-        _check_pattern(j_eq, self._j_eq, "equality Jacobian")
-        return np.concatenate([j_eq.data, self._const_rows.data])
+        of the CSR pattern ``j_pattern``; each call returns new values."""
+        j_eq = _fitted(self.p.eq_jacobian(y[:self.n_x]), self.p.jac_const,
+                       "eq_jacobian", "jac_const")
+        return np.concatenate([j_eq, self._const_rows.data])
 
     def jacobian_t_dot(self, J, v) -> np.ndarray:
         """J^T v for Jacobian values J from ``jacobian``, summed over the
@@ -173,28 +172,32 @@ class _BarrierProblem:
         g[:self.n_x] = self.p.gradient(y[:self.n_x])
         return g
 
-    def hessian(self, y, lam) -> sp.csr_matrix:
-        """Hessian of the Lagrangian in x (n_x x n_x); the slacks enter
-        linearly, so their rows and columns are zero."""
-        return self.p.lagrangian_hessian(y[:self.n_x], lam[:self.p.n_eq])
+    def hessian(self, y, lam) -> np.ndarray:
+        """Values of the Hessian of the Lagrangian in x on the problem's
+        ``hess_pattern`` (n_x x n_x); the slacks enter linearly, so their
+        rows and columns are zero."""
+        return _fitted(self.p.lagrangian_hessian(y[:self.n_x], lam[:self.p.n_eq]),
+                       self.p.hess_pattern, "lagrangian_hessian", "hess_pattern")
 
 
-def _check_pattern(a, first, what):
-    if not (np.array_equal(a.indptr, first.indptr)
-            and np.array_equal(a.indices, first.indices)):
-        raise ValueError(f"{what} changed its sparsity pattern")
+def _fitted(values, pattern, method, pattern_name):
+    """The values an evaluation returned, if they fit the pattern's entries."""
+    if np.shape(values) != (pattern.nnz,):
+        raise ValueError(f"{method} returned values of shape {np.shape(values)}, "
+                         f"not one per entry of {pattern_name} ({pattern.nnz})")
+    return values
 
 
 class _KktMatrix:
     """KKT matrix [[W + diag(d), J^T], [J, -delta_c I]] on a CSC pattern
-    fixed by the first W and the Jacobian pattern.  One CSC matrix ``K``
+    fixed by the Hessian and Jacobian patterns.  One CSC matrix ``K``
     holds it for the whole solve; every build only writes values into it.
-    The values of J come from _BarrierProblem.jacobian, in the order of
-    its fixed pattern.
+    The values of W and J come from _BarrierProblem.hessian and
+    _BarrierProblem.jacobian, in the order of their patterns.
 
-    ``slot`` maps, in order, W.data, the n diagonal entries d, the values
-    of J (lower block), the values of J again (upper block, J^T) and the
-    m entries -delta_c to their places in the pattern.
+    ``slot`` maps, in order, the values of W, the n diagonal entries d,
+    the values of J (lower block), the values of J again (upper block,
+    J^T) and the m entries -delta_c to their places in the pattern.
 
     The pattern is stored symmetrically permuted: entry (i, j) of K is
     entry (q[i], q[j]) of the KKT matrix, and ``primal`` marks the entries
@@ -203,18 +206,17 @@ class _KktMatrix:
     and ``slot`` permuted once to its column order, q = argsort(perm_c),
     and every later factorization takes the stored order as it is."""
 
-    def __init__(self, W, j_pattern):
+    def __init__(self, w_pattern, j_pattern):
         m, n = j_pattern.shape
         self.n = n
         self.size = n + m
-        self.W = W
-        w_rows = np.repeat(np.arange(W.shape[0]), np.diff(W.indptr))
+        w_rows = np.repeat(np.arange(w_pattern.shape[0]), np.diff(w_pattern.indptr))
         j_rows = n + np.repeat(np.arange(m), np.diff(j_pattern.indptr))
         j_cols = j_pattern.indices
         diag = np.arange(self.size)
         indices, indptr, self.slot = self._place(
             np.concatenate([w_rows, diag[:n], j_rows, j_cols, diag[n:]]),
-            np.concatenate([W.indices, diag[:n], j_cols, j_rows, diag[n:]]))
+            np.concatenate([w_pattern.indices, diag[:n], j_cols, j_rows, diag[n:]]))
         self.K = sp.csc_matrix((np.zeros(len(indices)), indices, indptr),
                                shape=(self.size, self.size))
         self.q = diag
@@ -230,7 +232,6 @@ class _KktMatrix:
         return keys % size, np.searchsorted(keys // size, np.arange(size + 1)), slot
 
     def build(self, W, J, d, delta_c):
-        _check_pattern(W, self.W, "Lagrangian Hessian")
         if self._ordering is not None:
             (indices, indptr, self.slot), self.q = self._ordering
             self.K.indices[:], self.K.indptr[:] = indices, indptr
@@ -238,7 +239,7 @@ class _KktMatrix:
             self.ordered = True
             self._ordering = None
         self.K.data[:] = np.bincount(self.slot, minlength=self.K.nnz, weights=np.concatenate(
-            [W.data, d, J, J, np.full(self.size - self.n, -delta_c)]))
+            [W, d, J, J, np.full(self.size - self.n, -delta_c)]))
         return self.K
 
     def factor(self, K):
@@ -308,7 +309,7 @@ class _InteriorPoint:
         self.L = bp.L[self.il]
         self.U = bp.U[self.iu]
         self.n_bounds = len(self.il) + len(self.iu)
-        self._kkt = None                     # _KktMatrix, from the first build
+        self._kkt = _KktMatrix(bp.p.hess_pattern, bp.j_pattern)
 
     def evaluate(self, y, lam, zl, zu, c=None, f=None):
         """Record of the iterate (y, lam, zl, zu): c, the values J of the
@@ -385,8 +386,6 @@ class _InteriorPoint:
         # when constraint rows lose rank (zero-flow mixing degeneracy)
         delta_c = _REG_MIN * max(mu, 1e-20) ** 0.5
         attempts = 0
-        if self._kkt is None:
-            self._kkt = _KktMatrix(W, self.bp.j_pattern)
         kkt = self._kkt
         while True:
             K = kkt.build(W, J, sigma + delta_w, delta_c)
@@ -644,7 +643,9 @@ class _InteriorPoint:
 
 def solve_nlp(problem: NlpProblem, x0: np.ndarray,
               options: Optional[SolverOptions] = None) -> SolveResult:
-    """Solve an assembled problem from the given primal starting point."""
+    """Solve an assembled problem from the given primal starting point;
+    ``problem`` is an NlpProblem or an object with its interface, the
+    patterns ``jac_const`` and ``hess_pattern`` included."""
     options = options or SolverOptions()
     return _InteriorPoint(_BarrierProblem(problem), options).solve(x0)
 
@@ -753,20 +754,13 @@ def replicate_steady(x_steady: np.ndarray, problem: NlpProblem) -> np.ndarray:
 
 
 def solve_transient(segnet: SegmentedNetwork, scenario: Scenario,
-                    options: Optional[SolverOptions] = None,
-                    steady: Optional[tuple] = None):
-    """Two-stage solve: steady state first, then the cyclic transient
-    problem warm-started from the replicated steady solution.
+                    x_steady: np.ndarray, options: Optional[SolverOptions] = None):
+    """Solve the cyclic transient problem warm-started from the steady
+    solution x_steady (see solve_steady), replicated across the grid.
 
-    Returns (result, problem, steady_result).
+    Returns (result, problem).
     """
-    options = options or SolverOptions()
-    if steady is None:
-        steady_result, _ = solve_steady(segnet, scenario, options)
-    else:
-        steady_result, _ = steady
     grid = TimeGrid(n_points=scenario.n_steps, dt=scenario.dt)
     problem = assemble_nlp(segnet, scenario, grid)
-    x0 = replicate_steady(steady_result.x, problem)
-    result = solve_nlp(problem, x0, options)
-    return result, problem, steady_result
+    result = solve_nlp(problem, replicate_steady(x_steady, problem), options)
+    return result, problem

@@ -157,6 +157,12 @@ class NlpProblem:
     product order sets the last bit).  All derivatives and patterns follow
     from these tables.
 
+    Both sparsity patterns are fixed at assembly, as CSR matrices:
+    ``jac_const`` (the equality Jacobian, holding its linear coefficients)
+    and ``hess_pattern`` (the Lagrangian Hessian, both triangles).
+    ``eq_jacobian`` and ``lagrangian_hessian`` return only the values on
+    them, in the order of their ``data``; a solver takes the patterns once.
+
     Every residual at time index n references only indices n and succ(n);
     evaluation order is fixed so identical inputs give identical outputs.
     """
@@ -470,16 +476,15 @@ class NlpProblem:
     def ineq_constraints(self, x: np.ndarray) -> np.ndarray:
         return self.P @ x
 
-    def eq_jacobian(self, x: np.ndarray) -> sp.csr_matrix:
-        """Linear coefficients plus, per bilinear term, coef * x[q] in
-        column p and coef * x[p] in column q, plus each kernel's gradient."""
+    def eq_jacobian(self, x: np.ndarray) -> np.ndarray:
+        """Values on the pattern of ``jac_const``: the linear coefficients
+        plus, per bilinear term, coef * x[q] in column p and coef * x[p] in
+        column q, plus each kernel's gradient."""
         vals = np.concatenate(
             [self.bil_v * x[self.bil_q], self.bil_v * x[self.bil_p]]
             + [v for _, cols, _, fn in self.kernels for v in fn(self, x[cols], 1)])
         J = self.jac_const
-        return sp.csr_matrix(
-            (J.data + np.bincount(self.jac_slot, weights=vals, minlength=J.nnz),
-             J.indices, J.indptr), shape=J.shape)
+        return J.data + np.bincount(self.jac_slot, weights=vals, minlength=J.nnz)
 
     def ineq_jacobian(self, x: np.ndarray) -> sp.csr_matrix:
         return self.P.copy()
@@ -520,12 +525,12 @@ class NlpProblem:
 
     # -- Hessian of the Lagrangian -----------------------------------------
 
-    def lagrangian_hessian(self, x, lam_eq) -> sp.csr_matrix:
-        """Symmetric Hessian H_f + sum lam_i * H_ci of the equality rows.
+    def lagrangian_hessian(self, x, lam_eq) -> np.ndarray:
+        """Values of the symmetric Hessian H_f + sum lam_i * H_ci of the
+        equality rows on the pattern of ``hess_pattern``.
 
         Inequality rows are linear, so their multipliers never contribute.
-        The values are written into the pattern fixed at assembly, in the
-        order of ``hess_slot``.
+        Each entry sums its second derivatives in the order of ``hess_slot``.
         """
         alpha = x[self.C_alpha]
         sq = np.sqrt(alpha)
@@ -535,11 +540,8 @@ class NlpProblem:
                for v in fn(self, x[cols], 2, lam_eq[rows])]
             # objective curvature (fc, alpha), (alpha, alpha)
             + [self.obj_wc / (2.0 * sq), -self.obj_wc * x[self.C_fc] / (4.0 * alpha * sq)])
-        H = self.hess_pattern
-        return sp.csr_matrix(
-            (np.bincount(self.hess_slot, minlength=H.nnz,
-                         weights=np.concatenate([vals, vals[self.hess_mirror]])),
-             H.indices, H.indptr), shape=H.shape)
+        return np.bincount(self.hess_slot, minlength=self.hess_pattern.nnz,
+                           weights=np.concatenate([vals, vals[self.hess_mirror]]))
 
     # -- bookkeeping --------------------------------------------------------
 

@@ -4,13 +4,15 @@ Scalar per-entity forms of the residuals that ``NlpProblem`` assembles
 document the equations one segment, compressor or node at a time; the
 closed-form variable count, a central-difference derivative check and a
 cross-correlation transport lag check the assembled problem and the
-solved trajectories.
+solved trajectories.  ``on_pattern`` turns the values that an evaluation
+returns back into the sparse matrix they fill.
 """
 
 import math
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from h2blend.network import ParseError, SegmentedNetwork
 from h2blend.solution import SolutionTrajectory
@@ -94,6 +96,14 @@ def expected_variable_count(segnet: SegmentedNetwork, grid: TimeGrid) -> int:
                             + 2 * len(segnet.compressors) + n_sup + 2 * n_wd)
 
 
+def on_pattern(pattern: sp.csr_matrix, values: np.ndarray) -> sp.csr_matrix:
+    """The matrix with ``pattern``'s entries holding ``values``, in the
+    order of its ``data`` (as ``eq_jacobian`` and ``lagrangian_hessian``
+    return them for ``jac_const`` and ``hess_pattern``)."""
+    assert values.shape == (pattern.nnz,)
+    return sp.csr_matrix((values, pattern.indices, pattern.indptr), shape=pattern.shape)
+
+
 def derivative_check(problem: NlpProblem, n_points: int = 20,
                      step: float = 1e-6, seed: int = 0,
                      n_columns: int = 25) -> float:
@@ -115,7 +125,7 @@ def derivative_check(problem: NlpProblem, n_points: int = 20,
         hi = np.where(np.isfinite(problem.ub), problem.ub, np.inf)
         x = np.clip(x, lo + 1e-3, hi - 1e-3)
         x = np.clip(x, lo, hi)
-        J = problem.eq_jacobian(x).tocsc()
+        J = on_pattern(problem.jac_const, problem.eq_jacobian(x)).tocsc()
         g = problem.gradient(x)
         cols = rng.choice(n, size=min(n_columns, n), replace=False)
         for k in cols:

@@ -26,7 +26,8 @@ def solve_bundled(case):
     net = load_network(bundled_path(case, "network"))
     scenario = load_scenario(bundled_path(case, "scenario"))
     segnet = segment_pipes(net, scenario.dL)
-    result, problem, steady_result = solve_transient(segnet, scenario)
+    steady_result, _ = solve_steady(segnet, scenario)
+    result, problem = solve_transient(segnet, scenario, steady_result.x)
     trajectory = SolutionTrajectory.from_solution(problem, result.x)
     return {
         "segnet": segnet,
@@ -164,10 +165,9 @@ class TestCriterion8SteadyLimit:
         flat = parse_scenario(doc)
         segnet = segment_pipes(net, flat.dL)
         options = SolverOptions(kkt_tol=1e-8)
-        steady_result, steady_problem = solve_steady(segnet, flat, options)
+        steady_result, _ = solve_steady(segnet, flat, options)
         assert steady_result.status == "local-optimum"
-        result, problem, _ = solve_transient(
-            segnet, flat, options, steady=(steady_result, steady_problem))
+        result, problem = solve_transient(segnet, flat, steady_result.x, options)
         assert result.status == "local-optimum"
         tiled = replicate_steady(steady_result.x, problem)
         assert np.abs(result.x - tiled).max() <= 1e-6

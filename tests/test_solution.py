@@ -12,7 +12,8 @@ def solved_case():
     scenario = short_scenario(profiles={
         "N1": {"type": "sinusoid", "eta0": 0.1, "delta": 0.02, "nu": 1.0}})
     segnet = segment_pipes(line_network(), scenario.dL)
-    result, problem, _ = solve_transient(segnet, scenario)
+    steady_result, _ = solve_steady(segnet, scenario)
+    result, problem = solve_transient(segnet, scenario, steady_result.x)
     assert result.status == "local-optimum"
     return result, problem
 

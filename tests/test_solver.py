@@ -1,5 +1,7 @@
 import builtins
 import copy
+import re
+import sys
 import types
 
 import numpy as np
@@ -53,13 +55,16 @@ def kkt_residuals(problem, result) -> dict:
 class QuadraticProblem:
     """min (x0 - 2)^2 + (x1 + 1)^2  s.t.  x0 + x1 = 1, lb <= x <= ub.
 
-    Exposes the same interface the interior-point solver consumes.
+    Exposes the same interface the interior-point solver consumes: the
+    two sparsity patterns, and evaluations that return the values on them.
     """
 
     def __init__(self, lb=(-5.0, -5.0), ub=(np.inf, np.inf)):
         self.index = types.SimpleNamespace(total=2)
         self.n_eq = 1
         self.n_ineq = 0
+        self.jac_const = sp.csr_matrix(np.array([[1.0, 1.0]]))
+        self.hess_pattern = sp.identity(2, format="csr")
         self.lb = np.array(lb, dtype=float)
         self.ub = np.array(ub, dtype=float)
         self.ineq_lb = np.zeros(0)
@@ -72,7 +77,7 @@ class QuadraticProblem:
         return np.zeros(0)
 
     def eq_jacobian(self, x):
-        return sp.csr_matrix(np.array([[1.0, 1.0]]))
+        return np.array([1.0, 1.0])
 
     def ineq_jacobian(self, x):
         return sp.csr_matrix((0, 2))
@@ -84,7 +89,7 @@ class QuadraticProblem:
         return np.array([2.0 * (x[0] - 2.0), 2.0 * (x[1] + 1.0)])
 
     def lagrangian_hessian(self, x, lam_eq):
-        return sp.csr_matrix(2.0 * np.eye(2))
+        return np.array([2.0, 2.0])
 
 
 class TestInteriorPointOnQuadratics:
@@ -121,6 +126,12 @@ def steady_line_case(eta_s=0.0, **scenario_overrides):
     scenario = short_scenario(**scenario_overrides)
     segnet = segment_pipes(line_network(eta_s=eta_s), scenario.dL)
     return segnet, scenario
+
+
+def two_stage(segnet, scenario):
+    """The steady solve, then the transient one warm-started from it."""
+    steady_result, _ = solve_steady(segnet, scenario)
+    return (steady_result,) + solve_transient(segnet, scenario, steady_result.x)
 
 
 def restoration_line_case():
@@ -163,7 +174,7 @@ class ConcaveProblem(QuadraticProblem):
         return -super().gradient(x)
 
     def lagrangian_hessian(self, x, lam_eq):
-        return sp.csr_matrix(-2.0 * np.eye(2))
+        return np.array([-2.0, -2.0])
 
 
 class TestFixedKktPattern:
@@ -173,7 +184,7 @@ class TestFixedKktPattern:
         steady = solve_steady(segnet, scenario)
         steady_calls = list(kkt_factorizations)
         kkt_factorizations.clear()
-        result, _, _ = solve_transient(segnet, scenario, steady=steady)
+        result, _ = solve_transient(segnet, scenario, steady[0].x)
         assert result.status == "local-optimum"
         for calls in (steady_calls, kkt_factorizations):
             # one factorization or more per iteration but the converged last
@@ -235,7 +246,7 @@ class TestFixedKktPattern:
         steady = solve_steady(segnet, scenario)
         kkt_factorizations.clear()
         directions.clear()
-        result, _, _ = solve_transient(segnet, scenario, steady=steady)
+        result, _ = solve_transient(segnet, scenario, steady[0].x)
         assert result.status == "local-optimum"
         assert len(directions) >= 4
         # stored matrices are K[q][:, q] with q = argsort(perm_c) of the
@@ -279,17 +290,59 @@ class TestFixedKktPattern:
         assert not np.array_equal(kkt_factorizations[0][1].indices, K.indices)
 
     def test_changed_hessian_pattern_raises(self):
+        """Hessian values that do not fit hess_pattern, at the first
+        evaluation or a later one, are an error that names both."""
         class ChangingHessian(QuadraticProblem):
-            calls = 0
+            def __init__(self, bad_call):
+                super().__init__()
+                self.bad_call, self.calls = bad_call, 0
 
             def lagrangian_hessian(self, x, lam_eq):
                 self.calls += 1
-                if self.calls == 1:
+                if self.calls < self.bad_call:
                     return super().lagrangian_hessian(x, lam_eq)
-                return sp.csr_matrix(np.array([[2.0, 0.1], [0.1, 2.0]]))
+                return np.array([2.0, 0.1, 0.1, 2.0])
 
-        with pytest.raises(ValueError, match="Hessian changed its sparsity pattern"):
-            solve_nlp(ChangingHessian(), np.array([0.0, 0.0]))
+        for bad_call in (1, 2):
+            with pytest.raises(ValueError, match=re.escape(
+                    "lagrangian_hessian returned values of shape (4,), "
+                    "not one per entry of hess_pattern (2)")):
+                solve_nlp(ChangingHessian(bad_call), np.array([0.0, 0.0]))
+
+    def test_jacobian_matrix_instead_of_values_raises(self):
+        class MatrixJacobian(QuadraticProblem):
+            def eq_jacobian(self, x):
+                return self.jac_const
+
+        with pytest.raises(ValueError, match=re.escape(
+                "eq_jacobian returned values of shape (1, 2), "
+                "not one per entry of jac_const (2)")):
+            solve_nlp(MatrixJacobian(), np.array([0.0, 0.0]))
+
+    def test_sparse_matrices_are_set_up_once_per_solve(self, monkeypatch):
+        """A converged solve constructs as many CSR and CSC matrices in
+        h2blend as a solve stopped after one iteration."""
+        constructed = []
+        for name in ("csr_matrix", "csc_matrix"):
+            cls = getattr(sp, name)
+
+            def counted(*args, _cls=cls, **kwargs):
+                if sys._getframe(1).f_globals["__name__"].startswith("h2blend."):
+                    constructed.append(_cls.__name__)
+                return _cls(*args, **kwargs)
+            monkeypatch.setattr(sp, name, counted)
+
+        segnet, scenario = steady_line_case(eta_s=0.1)
+        problem = assemble_nlp(segnet, scenario, TimeGrid(1, scenario.dt))
+        x0 = _steady_initial_point(problem)
+        counts, statuses = [], []
+        for options in (SolverOptions(), SolverOptions(max_iter=1)):
+            constructed.clear()
+            result = solve_nlp(problem, x0, options)
+            counts.append(len(constructed))
+            statuses.append((result.status, result.iterations > 1))
+        assert statuses == [("local-optimum", True), ("iteration-limit", False)]
+        assert counts[0] == counts[1] > 0
 
 
 class TestSteadyState:
@@ -362,7 +415,7 @@ class TestOneEvaluationPerIterate:
         assert steady[0].status == "local-optimum"
         assert calls == {"eq_jacobian": steady[0].iterations, "restore": 0}
         calls["eq_jacobian"] = 0
-        result, _, _ = solve_transient(segnet, scenario, steady=steady)
+        result, _ = solve_transient(segnet, scenario, steady[0].x)
         assert result.status == "local-optimum"
         assert calls == {"eq_jacobian": result.iterations, "restore": 0}
 
@@ -373,7 +426,7 @@ class TestOneEvaluationPerIterate:
         assert steady[0].status == "iteration-limit"
         assert calls == {"eq_jacobian": steady[0].iterations + 1, "restore": 0}
         calls["eq_jacobian"] = 0
-        result, _, _ = solve_transient(segnet, scenario, options, steady=steady)
+        result, _ = solve_transient(segnet, scenario, steady[0].x, options)
         assert result.status == "iteration-limit"
         assert calls == {"eq_jacobian": result.iterations + 1, "restore": 0}
 
@@ -393,9 +446,9 @@ class TestOneEvaluationPerIterate:
         counted(_InteriorPoint, "evaluate")
         counted(_BarrierProblem, "jacobian_t_dot")
         segnet, scenario = steady_line_case()
-        result, _, steady_result = solve_transient(segnet, scenario)
+        steady_result, result, _ = two_stage(segnet, scenario)
         assert steady_result.status == result.status == "local-optimum"
-        result, _, _ = solve_transient(*restoration_line_case())
+        _, result, _ = two_stage(*restoration_line_case())
         assert result.status == "infeasible"
         assert calls["evaluate"] > 0
         assert calls["jacobian_t_dot"] == calls["evaluate"]
@@ -415,10 +468,10 @@ class TestOneEvaluationPerIterate:
 
         monkeypatch.setattr(NlpProblem, "eq_constraints", recorded_eq_constraints)
         segnet, scenario = steady_line_case()
-        result, _, steady_result = solve_transient(segnet, scenario)
+        steady_result, result, _ = two_stage(segnet, scenario)
         assert steady_result.status == result.status == "local-optimum"
         n_converged = len(points)
-        result, _, _ = solve_transient(*restoration_line_case())
+        _, result, _ = two_stage(*restoration_line_case())
         assert result.status == "infeasible"
         assert 0 < n_converged < len(points)
         assert all(a != b for a, b in zip(points, points[1:]))
@@ -434,7 +487,7 @@ class TestOneEvaluationPerIterate:
             return eq_jacobian(self, x)
 
         monkeypatch.setattr(NlpProblem, "eq_jacobian", recorded_eq_jacobian)
-        result, _, _ = solve_transient(*restoration_line_case())
+        _, result, _ = two_stage(*restoration_line_case())
         assert (result.status, result.iterations) == ("infeasible", 26)
         assert result.message == \
             "restoration stalled at constraint violation 6.095e-02"
@@ -505,11 +558,9 @@ class TestTransient:
     def test_constant_data_reduces_to_replicated_steady(self):
         segnet, scenario = steady_line_case(eta_s=0.1)
         options = SolverOptions(kkt_tol=1e-8)
-        steady_result, steady_problem = solve_steady(segnet, scenario, options)
+        steady_result, _ = solve_steady(segnet, scenario, options)
         assert steady_result.status == "local-optimum"
-        result, problem, _ = solve_transient(
-            segnet, scenario, options,
-            steady=(steady_result, steady_problem))
+        result, problem = solve_transient(segnet, scenario, steady_result.x, options)
         assert result.status == "local-optimum"
         tiled = replicate_steady(steady_result.x, problem)
         assert np.abs(result.x - tiled).max() <= 1e-6
@@ -533,7 +584,7 @@ class TestTransient:
         scenario = short_scenario(profiles={
             "N1": {"type": "sinusoid", "eta0": 0.1, "delta": 0.01, "nu": 1.0}})
         segnet = segment_pipes(parse_network(doc), scenario.dL)
-        result, problem, steady_result = solve_transient(segnet, scenario)
+        steady_result, result, problem = two_stage(segnet, scenario)
         assert steady_result.status == result.status == "local-optimum"
         tr = SolutionTrajectory.from_solution(problem, result.x)
         assert tr.gE == pytest.approx(np.full((1, scenario.n_steps), 5000.0),
@@ -577,7 +628,7 @@ class TestTransient:
     def test_log_kkt_is_the_result_kkt(self):
         segnet, scenario = steady_line_case(eta_s=0.1)
         steady = solve_steady(segnet, scenario)
-        result, _, _ = solve_transient(segnet, scenario, steady=steady)
+        result, _ = solve_transient(segnet, scenario, steady[0].x)
         for r in (steady[0], result):
             assert r.status == "local-optimum"
             assert r.log[-1]["kkt"] == r.kkt_residual <= SolverOptions().kkt_tol
@@ -588,7 +639,7 @@ class TestTransient:
                             lambda *args, **kwargs: opened.append(args))
         monkeypatch.chdir(tmp_path)
         segnet, scenario = steady_line_case(eta_s=0.1)
-        result, _, steady_result = solve_transient(segnet, scenario)
+        steady_result, result, _ = two_stage(segnet, scenario)
         assert steady_result.status == result.status == "local-optimum"
         assert steady_result.log and result.log
         assert opened == [] and list(tmp_path.iterdir()) == []

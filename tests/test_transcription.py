@@ -25,6 +25,7 @@ from reference_forms import (
     energy_residual,
     expected_variable_count,
     nodal_balance_residuals,
+    on_pattern,
     pipe_segment_residuals,
 )
 
@@ -290,11 +291,11 @@ def check_hessian(p, rng, extra_cols=()):
     the Lagrangian gradient in 15 random columns and ``extra_cols``."""
     x = random_point(p, seed=7)
     lam = rng.standard_normal(p.n_eq)
-    H = p.lagrangian_hessian(x, lam)
+    H = on_pattern(p.hess_pattern, p.lagrangian_hessian(x, lam))
     assert abs(H - H.T).max() == 0.0
 
     def grad_lag(v):
-        return p.gradient(v) + p.eq_jacobian(v).T @ lam
+        return p.gradient(v) + on_pattern(p.jac_const, p.eq_jacobian(v)).T @ lam
 
     h = 1e-6
     cols = [*rng.choice(p.index.total, size=15, replace=False), *extra_cols]
@@ -340,29 +341,33 @@ class TestStructure:
         assert np.all(np.isinf(p.lb[idx.base("f0"):idx.base("alpha")]))
 
     def test_jacobian_pattern_is_fixed(self, small_problem):
+        """Every evaluation returns one value per entry of jac_const, whose
+        pattern, stacked on the inequality rows, is jacobian_sparsity."""
         p = small_problem
         J1 = p.eq_jacobian(random_point(p, seed=1))
         J2 = p.eq_jacobian(random_point(p, seed=2))
-        assert np.array_equal(J1.indptr, J2.indptr)
-        assert np.array_equal(J1.indices, J2.indices)
-        stacked = sp.vstack([J1, p.ineq_jacobian(random_point(p))]).tocoo()
+        assert J1.shape == J2.shape == (p.jac_const.nnz,)
+        stacked = sp.vstack([on_pattern(p.jac_const, J1),
+                             p.ineq_jacobian(random_point(p))]).tocoo()
         rows, cols = p.jacobian_sparsity()
         assert np.array_equal(rows, stacked.row)
         assert np.array_equal(cols, stacked.col)
 
     def test_hessian_pattern_is_fixed(self, small_problem):
+        """Every evaluation returns one value per entry of hess_pattern,
+        a canonical pattern holding both triangles."""
         p = small_problem
         rng = np.random.default_rng(4)
         H1 = p.lagrangian_hessian(random_point(p, seed=1), rng.standard_normal(p.n_eq))
         H2 = p.lagrangian_hessian(random_point(p, seed=2), np.zeros(p.n_eq))
-        assert np.array_equal(H1.indptr, H2.indptr)
-        assert np.array_equal(H1.indices, H2.indices)
+        H = p.hess_pattern
+        assert H1.shape == H2.shape == (H.nnz,)
         n = p.index.total
-        rows = np.repeat(np.arange(n), np.diff(H1.indptr))
-        keys = rows * n + H1.indices
+        rows = np.repeat(np.arange(n), np.diff(H.indptr))
+        keys = rows * n + H.indices
         # canonical: sorted within each row, no duplicate entries
         assert np.all(np.diff(keys) > 0)
-        assert np.array_equal(np.sort(H1.indices * n + rows), keys)
+        assert np.array_equal(np.sort(H.indices * n + rows), keys)
 
     def test_objective_matches_economics(self, small_problem):
         p = small_problem

@@ -28,7 +28,8 @@ def solved_case():
         profiles={"N1": {"type": "sinusoid", "eta0": 0.1, "delta": 0.02,
                          "nu": 2.0}})
     segnet = segment_pipes(line_network(), scenario.dL)
-    result, problem, _ = solve_transient(segnet, scenario)
+    steady_result, _ = solve_steady(segnet, scenario)
+    result, problem = solve_transient(segnet, scenario, steady_result.x)
     assert result.status == "local-optimum"
     tr = SolutionTrajectory.from_solution(problem, result.x)
     return tr, segnet, scenario, problem
@@ -162,7 +163,8 @@ class TestDerivativeCheck:
 class TestReporting:
     def test_run_audits_aggregates(self, solved_case):
         tr, segnet, scenario, _ = solved_case
-        report = run_audits(tr, segnet, scenario, periodicity_cycles=2)
+        # the scenario's supply profile repeats twice (nu 2)
+        report = run_audits(tr, segnet, scenario)
         names = [c.name for c in report.checks]
         assert "conservation/H2" in names
         assert "periodicity/block" in names
