@@ -128,8 +128,10 @@ def _stage(name: str, result, log_dir: Path | None) -> int:
 
 def run(args) -> int:
     out_dir = Path(args.out or os.environ.get("H2BLEND_OUT", "h2blend_out"))
-    if not 0.0 < args.tol < float("inf"):
-        raise ParseError(f"--tol must be positive and finite, got {args.tol}")
+    try:
+        options = SolverOptions(kkt_tol=args.tol)
+    except ValueError as exc:
+        raise ParseError(f"--tol: {exc}")
     net, scenario = _load_inputs(args)
     diagnostics = validate_topology(net)
     if diagnostics:
@@ -151,7 +153,6 @@ def run(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ParseError(f"cannot create output directory {out_dir}: {exc}")
-    options = SolverOptions(kkt_tol=args.tol)
     log_dir = out_dir if args.iter_log else None
     result, problem = solve_steady(segnet, scenario, options)
     code = _stage("steady", result, log_dir)

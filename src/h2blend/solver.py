@@ -2,40 +2,31 @@
 
 The solver handles problems of the form
 
-    min f(x)  s.t.  c_eq(x) = 0,  l_I <= c_in(x) <= u_I,  lb <= x <= ub
+    min f(x)  s.t.  c_eq(x) = 0,  l_I <= c_in(x) <= u_I,  lb <= x <= ub.
 
-by introducing slacks for the inequalities and applying a logarithmic
-barrier to all simple bounds.  Search directions come from a sparse
-symmetric KKT system factored with SuperLU.  The column ordering is
-computed once per solve, by COLAMD on the fixed KKT pattern at the first
-factorization, and every later factorization reuses it.  Curvature is
-controlled without inertia information: the primal-primal block is
-regularized until the computed direction has positive curvature.  Step
-acceptance uses the classic filter line search with a second-order
-correction and a Levenberg-Marquardt feasibility restoration as a
-fallback.
-Each iterate is evaluated once, into one record: constraints, Jacobian,
-objective and its gradient, J^T lambda, the gaps to the finite bounds
-and the mu-free part of the KKT error.  The record of an accepted trial
-point takes the constraints and objective that the line search or the
-second-order correction computed there, so only the start point and
-restoration points are evaluated in full.  The KKT error, the KKT
-system, the line search, restoration and the iteration log all read
-that record; restoration evaluates each of its own points once.  What
-does not depend on the iterate is computed once per solve: the index
-sets of the finite bounds and the constant Jacobian rows.
-The Jacobian and the KKT matrix live on the sparsity patterns that the
-problem fixes at assembly (``jac_const`` and ``hess_pattern``): its
-evaluations return only the values on them, and values that do not fit
-their pattern are an error.  An iterate keeps only the Jacobian's values;
-one CSC matrix, set up on the patterns when the solve starts, holds the
-KKT matrix and is refilled in place for every factorization attempt.
-Every KKT factorization, the first one's included, uses SuperLU with
-one-column panels.
-solve_steady and solve_transient return the problem they solved; a
-trajectory read from it keeps that problem, so the post-solve audit
-re-evaluates feasibility with the exact |phi| on the solve's own NLP
-instead of assembling it again.
+Slacks s turn the inequalities into equalities c_in(x) - s = 0, and a
+linear pin row holds each variable whose bounds coincide, so every other
+inequality is a simple bound on y = [x; s].  The finite bounds form one
+list of one-sided bounds, each with its variable, side (lower or upper),
+value, gap and multiplier; a logarithmic barrier on the gaps, their
+complementarity and the dual step are all taken over that list.
+
+Each iteration solves the primal-dual Newton system: a sparse symmetric
+KKT matrix on the sparsity patterns the problem fixes at assembly
+(``jac_const`` and ``hess_pattern``), held in one CSC matrix that is
+refilled in place and factored by SuperLU in the column order COLAMD
+finds at the first factorization.  Without inertia information, the
+primal block is regularized until the direction has positive curvature.
+A filter line search with a second-order correction accepts the step;
+when it fails, a Levenberg-Marquardt feasibility restoration takes over.
+Each iterate is evaluated once, into one record that the KKT error, the
+KKT system, the line search and restoration read.
+
+The result reports full-length bound multipliers on x.  A pinned
+variable's pin-row multiplier becomes its lower or upper bound
+multiplier, so the returned multipliers satisfy stationarity without the
+pin rows.  solve_steady and solve_transient return the problem they
+solved, for the post-solve audit to reuse.
 """
 
 from __future__ import annotations
@@ -83,6 +74,10 @@ _LU_RELAX = 5
 class SolverOptions:
     kkt_tol: float = 1e-6
     max_iter: int = 3000
+
+    def __post_init__(self):
+        if not 0.0 < self.kkt_tol < np.inf:
+            raise ValueError(f"kkt_tol must be positive and finite, got {self.kkt_tol}")
 
 
 @dataclass
@@ -303,37 +298,46 @@ class _InteriorPoint:
     def __init__(self, bp: _BarrierProblem, options: SolverOptions):
         self.bp = bp
         self.opt = options
-        # the finite bounds: their indices and values, fixed per solve
-        self.il = np.flatnonzero(np.isfinite(bp.L))
-        self.iu = np.flatnonzero(np.isfinite(bp.U))
-        self.L = bp.L[self.il]
-        self.U = bp.U[self.iu]
-        self.n_bounds = len(self.il) + len(self.iu)
+        # the finite bounds of y as one list of one-sided bounds, lower
+        # bounds first: bound k keeps side[k] * (y[ib[k]] - bound[k]) >= 0,
+        # with side +1 for a lower and -1 for an upper bound.  Per-variable
+        # sums over the list add in list order, so a variable with both
+        # bounds takes its lower bound's term first.
+        lower, upper = np.isfinite(bp.L), np.isfinite(bp.U)
+        self.ib = np.concatenate([np.flatnonzero(lower), np.flatnonzero(upper)])
+        self.side = np.repeat([1.0, -1.0], [lower.sum(), upper.sum()])
+        self.bound = np.concatenate([bp.L[lower], bp.U[upper]])
         self._kkt = _KktMatrix(bp.p.hess_pattern, bp.j_pattern)
 
-    def evaluate(self, y, lam, zl, zu, c=None, f=None):
-        """Record of the iterate (y, lam, zl, zu): c, the values J of the
-        Jacobian on its fixed pattern, f, g, J^T lam, the gaps
-        gap_l = y - L and gap_u = U - y to the finite bounds, their
-        complementarity products comp, the mu-free part err0 of the KKT
-        error with its scalings s_d and s_c, and the KKT error kkt at
-        mu = 0.  c and f are evaluated unless given (the line search has
-        them at the point it accepts)."""
+    def evaluate(self, y, lam, z, c=None, f=None):
+        """Record of the iterate (y, lam, z), z the multipliers of the
+        bound list: c, the values J of the Jacobian on its fixed pattern,
+        f, g, J^T lam, the gaps to the bounds, their complementarity
+        products comp, the mu-free part err0 of the KKT error with its
+        scalings s_d and s_c, and the KKT error kkt at mu = 0.  c and f
+        are evaluated unless given (the line search has them at the point
+        it accepts)."""
         bp = self.bp
-        pt = SimpleNamespace(y=y, lam=lam, zl=zl, zu=zu,
+        pt = SimpleNamespace(y=y, lam=lam, z=z,
                              c=bp.constraints(y) if c is None else c, J=bp.jacobian(y),
                              f=bp.objective(y) if f is None else f, g=bp.gradient(y),
-                             gap_l=y[self.il] - self.L, gap_u=self.U - y[self.iu])
+                             gap=self._gap(y))
         pt.jt_lam = bp.jacobian_t_dot(pt.J, lam)
-        pt.comp = np.concatenate([zl[self.il] * pt.gap_l, zu[self.iu] * pt.gap_u])
-        zl_sum, zu_sum = zl.sum(), zu.sum()
-        pt.s_d = max(_SMAX, (np.abs(lam).sum() + zl_sum + zu_sum)
-                     / max(1, len(lam) + self.n_bounds)) / _SMAX
-        pt.s_c = max(_SMAX, (zl_sum + zu_sum) / max(1, self.n_bounds)) / _SMAX
-        pt.err0 = max(np.abs(pt.g + pt.jt_lam - zl + zu).max(initial=0.0) / pt.s_d,
+        pt.comp = z * pt.gap
+        z_sum, n_bounds = z.sum(), len(z)
+        pt.s_d = max(_SMAX, (np.abs(lam).sum() + z_sum)
+                     / max(1, len(lam) + n_bounds)) / _SMAX
+        pt.s_c = max(_SMAX, z_sum / max(1, n_bounds)) / _SMAX
+        stationarity = pt.g + pt.jt_lam
+        np.subtract.at(stationarity, self.ib, self.side * z)
+        pt.err0 = max(np.abs(stationarity).max(initial=0.0) / pt.s_d,
                       np.abs(pt.c).max(initial=0.0))
         pt.kkt = self.kkt_error(pt, 0.0)
         return pt
+
+    def _gap(self, y):
+        """Gaps of y to the bound list."""
+        return self.side * (y[self.ib] - self.bound)
 
     # -- diagnostics --------------------------------------------------------
 
@@ -344,28 +348,18 @@ class _InteriorPoint:
     def _barrier_value(self, y, f, mu):
         """Barrier function at y, whose objective value is f."""
         if mu > 0.0:
-            f -= mu * np.sum(np.log(y[self.il] - self.L))
-            f -= mu * np.sum(np.log(self.U - y[self.iu]))
+            f -= mu * np.sum(np.log(self._gap(y)))
         return f
 
     def _barrier_grad(self, pt, mu):
         g = pt.g.copy()
-        g[self.il] -= mu / pt.gap_l
-        g[self.iu] += mu / pt.gap_u
+        np.subtract.at(g, self.ib, self.side * mu / pt.gap)
         return g
 
-    def _fraction_to_boundary(self, gap_l, gap_u, dy, tau):
-        """Largest alpha in (0, 1] keeping y + alpha*dy within the finite
-        bounds by the fraction-to-the-boundary margin (1 - tau) of the
-        gaps of y."""
-        return min(_max_step(gap_l, -dy[self.il] / tau),
-                   _max_step(gap_u, dy[self.iu] / tau))
-
-    def _on_bounds(self, zl, zu):
-        """Full-length bound multipliers from their values at il and iu."""
-        out_l, out_u = np.zeros(self.bp.n_y), np.zeros(self.bp.n_y)
-        out_l[self.il], out_u[self.iu] = zl, zu
-        return out_l, out_u
+    def _fraction_to_boundary(self, gap, dy, tau):
+        """Largest alpha in (0, 1] keeping y + alpha*dy within the bounds by
+        the fraction-to-the-boundary margin (1 - tau) of the gaps of y."""
+        return _max_step(gap, -self.side * dy[self.ib] / tau)
 
     # -- KKT solve ----------------------------------------------------------
 
@@ -375,8 +369,7 @@ class _InteriorPoint:
         J = pt.J
         W = self.bp.hessian(pt.y, pt.lam)
         sigma = np.zeros(n)
-        sigma[self.il] = pt.zl[self.il] / pt.gap_l
-        sigma[self.iu] += pt.zu[self.iu] / pt.gap_u
+        np.add.at(sigma, self.ib, pt.z / pt.gap)
         rhs = -np.concatenate([gphi + pt.jt_lam, pt.c])
         # an inaccurate solve marks the factorization as unreliable
         res_tol = 1e-7 * (np.abs(rhs).max(initial=0.0) + 1.0)
@@ -396,7 +389,6 @@ class _InteriorPoint:
                 d = lu.solve(rhs_q)
             except RuntimeError:
                 d = None
-            singular = True
             ok = d is not None and np.all(np.isfinite(d)) \
                 and np.abs(d).max(initial=0.0) < 1e10
             if ok:
@@ -406,15 +398,12 @@ class _InteriorPoint:
                 v = np.where(kkt.primal, d, 0.0)
                 curv = float(v @ (K @ v))
                 ok = curv >= 1e-11 * float(v @ v)
-                singular = False
             if ok:
                 step = np.empty_like(d)
                 step[q] = d
                 return step[:n], step[n:], delta_w, _ordered_solve(lu, q)
             attempts += 1
-            if singular or delta_c > 0.0:
-                delta_c = _REG_MIN * max(mu, 1e-20) ** 0.25 \
-                    if delta_c == 0.0 else min(10.0 * delta_c, 1e-4)
+            delta_c = min(10.0 * delta_c, 1e-4)
             if delta_w == 0.0:
                 delta_w = _DELTA_W0 if delta_w_last == 0.0 \
                     else max(_REG_MIN, delta_w_last / 3.0)
@@ -462,8 +451,7 @@ class _InteriorPoint:
                 lm *= 10.0
                 continue
             tau = max(_TAU_MIN, 1.0 - mu)
-            a = min(1.0, tau * self._fraction_to_boundary(
-                y[self.il] - self.L, self.U - y[self.iu], step, 1.0))
+            a = min(1.0, tau * self._fraction_to_boundary(self._gap(y), step, 1.0))
             trial = y + a * step
             c_trial = c_last if np.array_equal(trial, last) else bp.constraints(trial)
             last, c_last = trial, c_trial
@@ -485,15 +473,11 @@ class _InteriorPoint:
         opt = self.opt
         mu = _MU_INIT
 
-        y = np.zeros(bp.n_y)
-        y[:bp.n_x] = x0
-        x_probe = _push_inside(x0, bp.L[:bp.n_x], bp.U[:bp.n_x])
-        y[bp.n_x:] = bp.p.ineq_constraints(x_probe)
-        y = _push_inside(y, bp.L, bp.U)
-        lam = np.zeros(bp.m)
-        zl, zu = self._on_bounds(mu / (y[self.il] - self.L), mu / (self.U - y[self.iu]))
-
-        pt = self.evaluate(y, lam, zl, zu)
+        # the start point inside its bounds, slacks from its inequality values
+        x = _push_inside(x0, bp.L[:bp.n_x], bp.U[:bp.n_x])
+        y = np.concatenate([x, _push_inside(bp.p.ineq_constraints(x),
+                                            bp.L[bp.n_x:], bp.U[bp.n_x:])])
+        pt = self.evaluate(y, np.zeros(bp.m), mu / self._gap(y))
         log = []
         filt: list[tuple[float, float]] = []
         theta = np.abs(pt.c).sum()
@@ -519,7 +503,7 @@ class _InteriorPoint:
             dy, dlam, delta_w, kkt_solve = self._solve_kkt(pt, gphi, mu, delta_w_last)
             if dy is None:
                 y_new, ok = self._restore(pt, mu)
-                pt = self.evaluate(_push_inside(y_new, bp.L, bp.U), pt.lam, pt.zl, pt.zu)
+                pt = self.evaluate(_push_inside(y_new, bp.L, bp.U), pt.lam, pt.z)
                 if ok:
                     filt.clear()
                     continue
@@ -528,14 +512,11 @@ class _InteriorPoint:
                 break
             if delta_w > 0.0:
                 delta_w_last = delta_w
-            # bound multiplier steps, on the finite bounds
-            zl, zu = pt.zl[self.il], pt.zu[self.iu]
-            dzl = (mu - zl * dy[self.il]) / pt.gap_l - zl
-            dzu = (mu + zu * dy[self.iu]) / pt.gap_u - zu
+            dz = (mu - self.side * pt.z * dy[self.ib]) / pt.gap - pt.z
 
             tau = max(_TAU_MIN, 1.0 - mu)
-            a_max = self._fraction_to_boundary(pt.gap_l, pt.gap_u, dy, tau)
-            a_z = min(_max_step(zl, -dzl / tau), _max_step(zu, -dzu / tau))
+            a_max = self._fraction_to_boundary(pt.gap, dy, tau)
+            a_z = _max_step(pt.z, -dz / tau)
 
             phi = self._barrier_value(y, pt.f, mu)
             dphi = float(gphi @ dy)
@@ -550,8 +531,6 @@ class _InteriorPoint:
 
             alpha = a_max
             accepted = False
-            soc_done = False
-            n_backtrack = 0
             while alpha >= _ALPHA_MIN:
                 trial = y + alpha * dy
                 c_t = bp.constraints(trial)
@@ -572,15 +551,13 @@ class _InteriorPoint:
                                      phi - _GAMMA_PHI * theta))
                     break
                 # second-order correction on the first rejected full-ish step
-                if not soc_done and n_backtrack == 0 and theta_t > theta:
-                    soc_done = True
-                    c_soc = c_t.copy()
-                    theta_old = theta_t
+                if alpha == a_max and theta_t > theta:
+                    c_soc, theta_old = c_t, theta_t
                     for _ in range(_MAX_SOC):
                         rhs = -np.concatenate([np.zeros(bp.n_y), c_soc])
                         d_cor = kkt_solve(rhs)
                         dy_cor = dy + d_cor[:bp.n_y]
-                        a_soc = self._fraction_to_boundary(pt.gap_l, pt.gap_u, dy_cor, tau)
+                        a_soc = self._fraction_to_boundary(pt.gap, dy_cor, tau)
                         y_try = y + min(alpha, a_soc) * dy_cor
                         c_try = bp.constraints(y_try)
                         th_try = np.abs(c_try).sum()
@@ -595,12 +572,11 @@ class _InteriorPoint:
                     if accepted:
                         break
                 alpha *= 0.5
-                n_backtrack += 1
 
             if not accepted:
                 y_new, ok = self._restore(pt, mu)
                 if ok:
-                    pt = self.evaluate(_push_inside(y_new, bp.L, bp.U), pt.lam, pt.zl, pt.zu)
+                    pt = self.evaluate(_push_inside(y_new, bp.L, bp.U), pt.lam, pt.z)
                     filt.clear()
                     delta_w_last = 0.0
                     continue
@@ -613,39 +589,48 @@ class _InteriorPoint:
                     message = "line search failed near a feasible point"
                 break
 
-            pt = self.evaluate(
-                trial, pt.lam + alpha * dlam,
-                *self._on_bounds(_clip_dual(zl + a_z * dzl, trial[self.il] - self.L, mu),
-                                 _clip_dual(zu + a_z * dzu, self.U - trial[self.iu], mu)),
-                c_t, f_t)
+            pt = self.evaluate(trial, pt.lam + alpha * dlam,
+                               _clip_dual(pt.z + a_z * dz, self._gap(trial), mu), c_t, f_t)
             log.append(dict(iteration=it, mu=mu, objective=pt.f,
                             violation=float(np.abs(pt.c).max(initial=0.0)),
                             kkt=pt.kkt, step=alpha, regularization=delta_w))
 
         wall = time.perf_counter() - t_start
         y, lam = pt.y, pt.lam
+        # full-length bound multipliers; the multiplier lam_p of a pin row
+        # goes to the side of its variable that keeps g + J^T lam - z_L + z_U
+        # = 0 without the pin rows
+        n_rows = bp.p.n_eq + bp.p.n_ineq
+        lam_p, lower = lam[n_rows:], self.side > 0
+        z_l, z_u = np.zeros(bp.n_y), np.zeros(bp.n_y)
+        z_l[self.ib[lower]], z_u[self.ib[~lower]] = pt.z[lower], pt.z[~lower]
+        z_l[bp.fix_idx], z_u[bp.fix_idx] = np.maximum(-lam_p, 0.0), np.maximum(lam_p, 0.0)
         return SolveResult(
             status=status, x=y[:bp.n_x], objective=pt.f,
-            violation=self._violation(y, pt.c), kkt_residual=pt.kkt,
+            violation=self._violation(pt), kkt_residual=pt.kkt,
             iterations=it, wall_time=wall,
-            multipliers=dict(equality=lam[:bp.p.n_eq],
-                             inequality=lam[bp.p.n_eq:bp.p.n_eq + bp.p.n_ineq],
-                             bound_lower=pt.zl[:bp.n_x], bound_upper=pt.zu[:bp.n_x],
+            multipliers=dict(equality=lam[:bp.p.n_eq], inequality=lam[bp.p.n_eq:n_rows],
+                             bound_lower=z_l[:bp.n_x], bound_upper=z_u[:bp.n_x],
                              slacks=y[bp.n_x:]),
             message=message, log=log,
         )
 
-    def _violation(self, y, c) -> float:
-        bp = self.bp
-        b = np.maximum(bp.L - y, 0.0) + np.maximum(y - bp.U, 0.0)
-        return float(max(np.abs(c).max(initial=0.0), b.max(initial=0.0)))
+    def _violation(self, pt) -> float:
+        """Largest violation of a constraint or a bound at the record pt."""
+        return float(max(np.abs(pt.c).max(initial=0.0), (-pt.gap).max(initial=0.0)))
 
 
 def solve_nlp(problem: NlpProblem, x0: np.ndarray,
               options: Optional[SolverOptions] = None) -> SolveResult:
-    """Solve an assembled problem from the given primal starting point;
-    ``problem`` is an NlpProblem or an object with its interface, the
-    patterns ``jac_const`` and ``hess_pattern`` included."""
+    """Solve an assembled problem from the given primal starting point, a
+    finite array with one entry per variable; ``problem`` is an NlpProblem
+    or an object with its interface, the patterns ``jac_const`` and
+    ``hess_pattern`` included."""
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (problem.index.total,):
+        raise ValueError(f"x0 has shape {x0.shape}, not ({problem.index.total},)")
+    if not np.all(np.isfinite(x0)):
+        raise ValueError("x0 has entries that are not finite")
     options = options or SolverOptions()
     return _InteriorPoint(_BarrierProblem(problem), options).solve(x0)
 

@@ -212,33 +212,23 @@ class NlpProblem:
                 raise ParseError(f"profiles[{nid!r}]: not a supply node")
 
         # --- bounds --------------------------------------------------------
+        # per quantity: lower and upper bound, each a scalar or one value per
+        # entity; a fixed withdrawal energy (gE_fixed) has lb == ub
+        wds = [node_by_id[nid] for nid in idx.withdrawal_ids]
+        ge_fixed = np.array([w.gE_fixed is not None for w in wds], dtype=bool)
+        ge_cap = np.array([w.gE_max if w.gE_fixed is None else w.gE_fixed for w in wds],
+                          dtype=float) / self.energy0
         n = idx.total
         lb = np.full(n, -np.inf)
         ub = np.full(n, np.inf)
-
-        def setb(quantity, ent, lo, hi):
-            base = idx.base(quantity)
-            rng = slice(base + ent * N, base + (ent + 1) * N)
-            lb[rng] = lo
-            ub[rng] = hi
-
-        for k, _ in enumerate(nodes):
-            setb("rho_h2", k, 0.0, np.inf)
-            setb("rho_ng", k, 0.0, np.inf)
-            setb("eta", k, 0.0, 1.0)
-        for k, c in enumerate(comps):
-            setb("alpha", k, 1.0, c.alpha_max)
-            setb("fc", k, 0.0, c.fc_max / self.flow0)
-        for k, _ in enumerate(idx.supply_ids):
-            setb("qs", k, 0.0, scn.qs_max / self.flow0)
-        for k, nid in enumerate(idx.withdrawal_ids):
-            node = node_by_id[nid]
-            setb("qw", k, 0.0, scn.qw_max / self.flow0)
-            if node.gE_fixed is not None:
-                v = node.gE_fixed / self.energy0
-                setb("ge", k, v, v)
-            else:
-                setb("ge", k, 0.0, node.gE_max / self.energy0)
+        for q, lo, hi in (
+                ("rho_h2", 0.0, np.inf), ("rho_ng", 0.0, np.inf), ("eta", 0.0, 1.0),
+                ("alpha", 1.0, [c.alpha_max for c in comps]),
+                ("fc", 0.0, np.array([c.fc_max for c in comps], dtype=float) / self.flow0),
+                ("qs", 0.0, scn.qs_max / self.flow0), ("qw", 0.0, scn.qw_max / self.flow0),
+                ("ge", np.where(ge_fixed, ge_cap, 0.0), ge_cap)):
+            idx.block(lb, q)[:] = np.asarray(lo, dtype=float)[..., None]
+            idx.block(ub, q)[:] = np.asarray(hi, dtype=float)[..., None]
         if np.any(lb > ub):
             raise ParseError("crossed variable bounds")
         self.lb, self.ub = lb, ub

@@ -32,18 +32,19 @@ from h2blend.validation import run_audits
 
 
 def kkt_residuals(problem, result) -> dict:
-    """Stationarity, feasibility and scaled KKT error at a solution, from
-    the solver's own evaluation and KKT-error routine."""
+    """Stationarity of the returned multipliers, feasibility, and the scaled
+    KKT error from the solver's own evaluation and KKT-error routine, for
+    which the pinned variables' multipliers go back onto their pin rows."""
     bp = _BarrierProblem(problem)
     ip = _InteriorPoint(bp, SolverOptions())
     mult = result.multipliers
     y = np.concatenate([result.x, mult["slacks"]])
-    lam = np.zeros(bp.m)
-    lam[:problem.n_eq] = mult["equality"]
-    lam[problem.n_eq:problem.n_eq + problem.n_ineq] = mult["inequality"]
     zl = np.concatenate([mult["bound_lower"], np.zeros(bp.n_s)])
     zu = np.concatenate([mult["bound_upper"], np.zeros(bp.n_s)])
-    pt = ip.evaluate(y, lam, zl, zu)
+    lam = np.concatenate([mult["equality"], mult["inequality"],
+                          zu[bp.fix_idx] - zl[bp.fix_idx]])
+    pt = ip.evaluate(y, lam, np.where(ip.side > 0, zl[ip.ib], zu[ip.ib]))
+    lam[problem.n_eq + problem.n_ineq:] = 0.0
     return {
         "stationarity": float(np.abs(pt.g + bp.jacobian_t_dot(pt.J, lam) - zl + zu)
                               .max(initial=0.0)),
@@ -107,12 +108,22 @@ class TestInteriorPointOnQuadratics:
         assert result.x == pytest.approx([1.0, 0.0], abs=1e-6)
         assert result.objective == pytest.approx(2.0, abs=1e-6)
 
-    def test_kkt_residuals_at_solution(self):
-        prob = QuadraticProblem(ub=(1.0, np.inf))
+    @pytest.mark.parametrize("bounds, x", [
+        (dict(ub=(1.0, np.inf)), (1.0, 0.0)),
+        (dict(lb=(3.0, -5.0)), (3.0, -2.0)),
+        (dict(lb=(0.5, -5.0), ub=(0.5, np.inf)), (0.5, 0.5)),
+    ], ids=["upper-active", "lower-active", "pinned"])
+    def test_kkt_residuals_at_solution(self, bounds, x):
+        """The returned multipliers satisfy stationarity with an active
+        upper or lower bound, and for a variable pinned by lb == ub."""
+        prob = QuadraticProblem(**bounds)
         result = solve_nlp(prob, np.array([0.0, 0.0]))
+        assert result.status == "local-optimum"
+        assert result.x == pytest.approx(x, abs=1e-6)
         res = kkt_residuals(prob, result)
         assert res["feasibility"] <= 1e-8
         assert res["stationarity"] <= 1e-5
+        assert res["kkt_error"] <= SolverOptions().kkt_tol
 
     def test_iteration_limit_status(self):
         prob = QuadraticProblem()
@@ -126,6 +137,15 @@ def steady_line_case(eta_s=0.0, **scenario_overrides):
     scenario = short_scenario(**scenario_overrides)
     segnet = segment_pipes(line_network(eta_s=eta_s), scenario.dL)
     return segnet, scenario
+
+
+def fixed_demand_network(eta_s=0.0):
+    """The line network whose withdrawal takes a fixed 5000 MJ/s (gE_fixed)."""
+    doc = copy.deepcopy(LINE_NETWORK_DOC)
+    doc["nodes"][0]["eta_s"] = eta_s
+    doc["nodes"][1].pop("gE_max")
+    doc["nodes"][1]["gE_fixed"] = 5000.0
+    return parse_network(doc)
 
 
 def two_stage(segnet, scenario):
@@ -175,6 +195,27 @@ class ConcaveProblem(QuadraticProblem):
 
     def lagrangian_hessian(self, x, lam_eq):
         return np.array([-2.0, -2.0])
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("make_x0, message", [
+        (lambda n: np.zeros(1), "x0 has shape (1,), not ({n},)"),
+        (lambda n: np.zeros(n + 1), "x0 has shape ({n1},), not ({n},)"),
+        (lambda n: np.full(n, np.nan), "x0 has entries that are not finite"),
+    ], ids=["one-entry", "one-too-many", "nan"])
+    def test_start_point_must_fit_the_problem(self, make_x0, message):
+        """A start point that numpy could broadcast, or one that is not
+        finite, is rejected before the solve starts."""
+        segnet, scenario = steady_line_case()
+        problem = assemble_nlp(segnet, scenario, TimeGrid(1, scenario.dt))
+        n = problem.index.total
+        with pytest.raises(ValueError, match=re.escape(message.format(n=n, n1=n + 1))):
+            solve_nlp(problem, make_x0(n))
+
+    @pytest.mark.parametrize("kkt_tol", [0.0, -1.0, np.nan, np.inf])
+    def test_kkt_tol_must_be_positive_and_finite(self, kkt_tol):
+        with pytest.raises(ValueError, match="kkt_tol must be positive and finite"):
+            SolverOptions(kkt_tol=kkt_tol)
 
 
 class TestFixedKktPattern:
@@ -379,11 +420,17 @@ class TestSteadyState:
         assert tr.qw[0, 0] == pytest.approx(
             8000.0 / (g.R_NG * (0.1 * r + 0.9)), rel=1e-6)
 
-    def test_kkt_residuals_small(self):
-        segnet, scenario = steady_line_case(eta_s=0.1)
+    @pytest.mark.parametrize("network", [line_network, fixed_demand_network],
+                             ids=["gE_max", "gE_fixed"])
+    def test_kkt_residuals_small(self, network):
+        """Also when the withdrawal energy is pinned (lb == ub)."""
+        scenario = short_scenario()
+        segnet = segment_pipes(network(eta_s=0.1), scenario.dL)
         result, problem = solve_steady(segnet, scenario)
+        assert result.status == "local-optimum"
         res = kkt_residuals(problem, result)
         assert res["feasibility"] <= 1e-7
+        assert res["stationarity"] <= 1e-5
         assert res["kkt_error"] <= 1e-5
 
 
@@ -541,13 +588,11 @@ class TestRestoration:
         bp = _BarrierProblem(problem)
         ip = _InteriorPoint(bp, SolverOptions())
         # the start point as _InteriorPoint.solve makes it, at mu = 0.1
-        x0 = _steady_initial_point(problem)
-        y = np.concatenate([x0, problem.ineq_constraints(
-            _push_inside(x0, bp.L[:bp.n_x], bp.U[:bp.n_x]))])
-        y = _push_inside(y, bp.L, bp.U)
+        x = _push_inside(_steady_initial_point(problem), bp.L[:bp.n_x], bp.U[:bp.n_x])
+        y = np.concatenate([x, _push_inside(problem.ineq_constraints(x),
+                                            bp.L[bp.n_x:], bp.U[bp.n_x:])])
         mu = 0.1
-        zl, zu = ip._on_bounds(mu / (y[ip.il] - ip.L), mu / (ip.U - y[ip.iu]))
-        pt = ip.evaluate(y, np.zeros(bp.m), zl, zu)
+        pt = ip.evaluate(y, np.zeros(bp.m), mu / ip._gap(y))
         assert np.abs(pt.c).sum() == pytest.approx(2.410, abs=5e-4)
         y_new, ok = ip._restore(pt, mu)
         assert ok
@@ -578,12 +623,9 @@ class TestTransient:
             assert np.all(dst == src[:, :1])
 
     def test_fixed_demand_is_delivered_at_every_step(self):
-        doc = copy.deepcopy(LINE_NETWORK_DOC)
-        doc["nodes"][1].pop("gE_max")
-        doc["nodes"][1]["gE_fixed"] = 5000.0
         scenario = short_scenario(profiles={
             "N1": {"type": "sinusoid", "eta0": 0.1, "delta": 0.01, "nu": 1.0}})
-        segnet = segment_pipes(parse_network(doc), scenario.dL)
+        segnet = segment_pipes(fixed_demand_network(), scenario.dL)
         steady_result, result, problem = two_stage(segnet, scenario)
         assert steady_result.status == result.status == "local-optimum"
         tr = SolutionTrajectory.from_solution(problem, result.x)
