@@ -17,10 +17,13 @@ KKT matrix on the sparsity patterns the problem fixes at assembly
 refilled in place and factored by SuperLU in the column order COLAMD
 finds at the first factorization.  Without inertia information, the
 primal block is regularized until the direction has positive curvature.
-A filter line search with a second-order correction accepts the step;
-when it fails, a Levenberg-Marquardt feasibility restoration takes over.
-Each iterate is evaluated once, into one record that the KKT error, the
-KKT system, the line search and restoration read.
+A filter line search accepts the step: every trial, second-order
+corrections included, passes one test (Armijo decrease for an f-type
+step, else the filter).  When the KKT system or the line search fails, a
+Levenberg-Marquardt feasibility restoration takes over; if it fails too,
+the result is the last accepted iterate.  Each iterate is evaluated once,
+into one record that the KKT error, the KKT system, the line search and
+restoration read.
 
 The result reports full-length bound multipliers on x.  A pinned
 variable's pin-row multiplier becomes its lower or upper bound
@@ -31,6 +34,7 @@ solved, for the post-solve audit to reuse.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -78,6 +82,8 @@ class SolverOptions:
     def __post_init__(self):
         if not 0.0 < self.kkt_tol < np.inf:
             raise ValueError(f"kkt_tol must be positive and finite, got {self.kkt_tol}")
+        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
 
 
 @dataclass
@@ -412,6 +418,59 @@ class _InteriorPoint:
             if delta_w > _DELTA_W_MAX or attempts > 40:
                 return None, None, delta_w, None
 
+    # -- line search --------------------------------------------------------
+
+    def _line_search(self, pt, gphi, dy, kkt_solve, mu, tau, filt, theta_min):
+        """Backtracking filter line search along dy from the record pt.
+
+        Each alpha tries the step; a rejected first step whose violation
+        grew is followed by up to _MAX_SOC second-order corrections, each
+        tried while it cuts the violation by _KAPPA_SOC.  Every trial passes
+        one test: Armijo decrease of the barrier value when the step is
+        f-type, else acceptance by the filter and the current point, which
+        an accepted trial without enough barrier decrease adds to the
+        filter.  Returns (alpha, y, c, f) of the accepted trial, or None."""
+        bp = self.bp
+        y = pt.y
+        theta = np.abs(pt.c).sum()
+        phi = self._barrier_value(y, pt.f, mu)
+        dphi = float(gphi @ dy)
+        a_max = self._fraction_to_boundary(pt.gap, dy, tau)
+
+        def trials(alpha):
+            y_t = y + alpha * dy
+            c_t = bp.constraints(y_t)
+            theta_t = np.abs(c_t).sum()
+            yield y_t, c_t, theta_t
+            if not (alpha == a_max and theta_t > theta):
+                return
+            for _ in range(_MAX_SOC):
+                dy_cor = dy + kkt_solve(-np.concatenate([np.zeros(bp.n_y), c_t]))[:bp.n_y]
+                y_t = y + min(alpha, self._fraction_to_boundary(pt.gap, dy_cor, tau)) * dy_cor
+                c_t, theta_old = bp.constraints(y_t), theta_t
+                theta_t = np.abs(c_t).sum()
+                if not theta_t <= _KAPPA_SOC * theta_old:
+                    return
+                yield y_t, c_t, theta_t
+
+        alpha = a_max
+        while alpha >= _ALPHA_MIN:
+            f_type = (theta <= theta_min and dphi < 0.0
+                      and alpha * (-dphi) ** _S_PHI > theta ** _S_THETA)
+            for y_t, c_t, theta_t in trials(alpha):
+                f_t = bp.objective(y_t)
+                phi_t = self._barrier_value(y_t, f_t, mu)
+                accepted = phi_t <= phi + _ETA_PHI * alpha * dphi if f_type else all(
+                    theta_t <= (1.0 - _GAMMA_THETA) * th_j or phi_t <= ph_j - _GAMMA_PHI * th_j
+                    for th_j, ph_j in filt + [(theta, phi)])
+                if accepted:
+                    if not f_type and not phi_t <= phi - _GAMMA_PHI * theta:
+                        filt.append(((1.0 - _GAMMA_THETA) * theta,
+                                     phi - _GAMMA_PHI * theta))
+                    return alpha, y_t, c_t, f_t
+            alpha *= 0.5
+        return None
+
     # -- restoration --------------------------------------------------------
 
     def _restore(self, pt, mu):
@@ -497,98 +556,36 @@ class _InteriorPoint:
                          min(_KAPPA_MU * mu, mu ** _THETA_MU))
                 filt.clear()
 
-            y = pt.y
             gphi = self._barrier_grad(pt, mu)
             kkt_solve = None                 # free the last factor before the next
             dy, dlam, delta_w, kkt_solve = self._solve_kkt(pt, gphi, mu, delta_w_last)
-            if dy is None:
-                y_new, ok = self._restore(pt, mu)
-                pt = self.evaluate(_push_inside(y_new, bp.L, bp.U), pt.lam, pt.z)
-                if ok:
-                    filt.clear()
-                    continue
-                status = "error"
-                message = "KKT system could not be regularized"
-                break
-            if delta_w > 0.0:
-                delta_w_last = delta_w
-            dz = (mu - self.side * pt.z * dy[self.ib]) / pt.gap - pt.z
-
             tau = max(_TAU_MIN, 1.0 - mu)
-            a_max = self._fraction_to_boundary(pt.gap, dy, tau)
-            a_z = _max_step(pt.z, -dz / tau)
+            step = None
+            if dy is not None:
+                if delta_w > 0.0:
+                    delta_w_last = delta_w
+                step = self._line_search(pt, gphi, dy, kkt_solve, mu, tau, filt, theta_min)
 
-            phi = self._barrier_value(y, pt.f, mu)
-            dphi = float(gphi @ dy)
-            theta = np.abs(pt.c).sum()
-
-            def filter_ok(th, ph):
-                for th_j, ph_j in filt + [(theta, phi)]:
-                    if not (th <= (1.0 - _GAMMA_THETA) * th_j
-                            or ph <= ph_j - _GAMMA_PHI * th_j):
-                        return False
-                return True
-
-            alpha = a_max
-            accepted = False
-            while alpha >= _ALPHA_MIN:
-                trial = y + alpha * dy
-                c_t = bp.constraints(trial)
-                theta_t = np.abs(c_t).sum()
-                f_t = bp.objective(trial)
-                phi_t = self._barrier_value(trial, f_t, mu)
-                switching = (dphi < 0.0
-                             and alpha * (-dphi) ** _S_PHI
-                             > (theta ** _S_THETA))
-                if theta <= theta_min and switching:
-                    if phi_t <= phi + _ETA_PHI * alpha * dphi:
-                        accepted = True
-                        break
-                elif filter_ok(theta_t, phi_t):
-                    accepted = True
-                    if not (phi_t <= phi - _GAMMA_PHI * theta):
-                        filt.append(((1.0 - _GAMMA_THETA) * theta,
-                                     phi - _GAMMA_PHI * theta))
-                    break
-                # second-order correction on the first rejected full-ish step
-                if alpha == a_max and theta_t > theta:
-                    c_soc, theta_old = c_t, theta_t
-                    for _ in range(_MAX_SOC):
-                        rhs = -np.concatenate([np.zeros(bp.n_y), c_soc])
-                        d_cor = kkt_solve(rhs)
-                        dy_cor = dy + d_cor[:bp.n_y]
-                        a_soc = self._fraction_to_boundary(pt.gap, dy_cor, tau)
-                        y_try = y + min(alpha, a_soc) * dy_cor
-                        c_try = bp.constraints(y_try)
-                        th_try = np.abs(c_try).sum()
-                        if not th_try <= _KAPPA_SOC * theta_old:
-                            break
-                        f_try = bp.objective(y_try)
-                        if filter_ok(th_try, self._barrier_value(y_try, f_try, mu)):
-                            trial, c_t, f_t = y_try, c_try, f_try
-                            accepted = True
-                            break
-                        c_soc, theta_old = c_try, th_try
-                    if accepted:
-                        break
-                alpha *= 0.5
-
-            if not accepted:
+            if step is None:
                 y_new, ok = self._restore(pt, mu)
                 if ok:
                     pt = self.evaluate(_push_inside(y_new, bp.L, bp.U), pt.lam, pt.z)
                     filt.clear()
                     delta_w_last = 0.0
                     continue
-                if theta > 1e-6 * theta_max and theta > opt.kkt_tol:
-                    status = "infeasible"
-                    message = (f"restoration stalled at constraint violation "
-                               f"{theta:.3e}")
+                theta = np.abs(pt.c).sum()
+                if dy is None:
+                    status, message = "error", "KKT system could not be regularized"
+                elif theta > 1e-6 * theta_max and theta > opt.kkt_tol:
+                    status, message = "infeasible", ("restoration stalled at constraint "
+                                                     f"violation {theta:.3e}")
                 else:
-                    status = "error"
-                    message = "line search failed near a feasible point"
+                    status, message = "error", "line search failed near a feasible point"
                 break
 
+            alpha, trial, c_t, f_t = step
+            dz = (mu - self.side * pt.z * dy[self.ib]) / pt.gap - pt.z
+            a_z = _max_step(pt.z, -dz / tau)
             pt = self.evaluate(trial, pt.lam + alpha * dlam,
                                _clip_dual(pt.z + a_z * dz, self._gap(trial), mu), c_t, f_t)
             log.append(dict(iteration=it, mu=mu, objective=pt.f,

@@ -1,5 +1,6 @@
 import builtins
 import copy
+import json
 import re
 import sys
 import types
@@ -12,7 +13,13 @@ from scipy.sparse.linalg import splu
 import h2blend.solver
 from conftest import LINE_NETWORK_DOC, line_network, short_scenario
 from h2blend.cli import bundled_path
-from h2blend.network import load_network, load_scenario, parse_network, segment_pipes
+from h2blend.network import (
+    load_network,
+    load_scenario,
+    parse_network,
+    parse_scenario,
+    segment_pipes,
+)
 from h2blend.physics import GasConstants
 from h2blend.solution import SolutionTrajectory
 from h2blend.solver import (
@@ -216,6 +223,14 @@ class TestInputChecks:
     def test_kkt_tol_must_be_positive_and_finite(self, kkt_tol):
         with pytest.raises(ValueError, match="kkt_tol must be positive and finite"):
             SolverOptions(kkt_tol=kkt_tol)
+
+    @pytest.mark.parametrize("max_iter", [0, -3, 2.5, "10"])
+    def test_max_iter_must_be_a_positive_integer(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter must be an integer >= 1"):
+            SolverOptions(max_iter=max_iter)
+
+    def test_max_iter_takes_a_numpy_integer(self):
+        assert SolverOptions(max_iter=np.int64(5)).max_iter == 5
 
 
 class TestFixedKktPattern:
@@ -539,6 +554,63 @@ class TestOneEvaluationPerIterate:
         assert result.message == \
             "restoration stalled at constraint violation 6.095e-02"
         assert len(points) == len(set(points))
+
+
+class TestFailedStep:
+    """A step that fails, by the KKT system or by the line search, goes to
+    restoration; when restoration fails too, the result is the last
+    accepted iterate, not restoration's point."""
+
+    @pytest.mark.parametrize("method, failed, message", [
+        ("_solve_kkt", (None, None, 0.0, None), "KKT system could not be regularized"),
+        ("_line_search", None, "line search failed near a feasible point"),
+    ], ids=["kkt", "line-search"])
+    def test_failed_restoration_keeps_the_last_iterate(self, monkeypatch, method, failed,
+                                                       message):
+        original = getattr(_InteriorPoint, method)
+        points = []
+
+        def fails_from_the_tenth_call(self, pt, *args):
+            points.append(pt.y)
+            return original(self, pt, *args) if len(points) < 10 else failed
+
+        monkeypatch.setattr(_InteriorPoint, method, fails_from_the_tenth_call)
+        monkeypatch.setattr(_InteriorPoint, "_restore",
+                            lambda self, pt, mu: (pt.y + 1.0, False))
+        scenario = load_scenario(bundled_path("single-pipe", "scenario"))
+        segnet = segment_pipes(load_network(bundled_path("single-pipe", "network")),
+                               scenario.dL)
+        result, _ = solve_steady(segnet, scenario)
+        assert (result.status, result.message, result.iterations) == ("error", message, 10)
+        assert len(points) == 10
+        np.testing.assert_array_equal(result.x, points[-1][:result.x.size])
+        assert result.violation == result.log[-1]["violation"]
+        assert result.violation == pytest.approx(3.4e-8, rel=0.05)
+
+
+class TestSecondOrderCorrection:
+    """Second-order-correction trials pass the same test as the step itself:
+    Armijo decrease of the barrier value when the step is f-type, else the
+    filter, which an accepted trial may extend.  On these points of the
+    eight-node what-if grid that test refuses f-type corrections the filter
+    alone would take, and an accepted correction extends the filter."""
+
+    @pytest.mark.parametrize("xi, p_slack, iterations", [
+        (0.3, 5.0e6, 23), (0.3, 5.4e6, 26), (0.6, 4.6e6, 25), (0.7, 5.2e6, 26)],
+        ids=["0-2-2-0", "0-4-2-0", "3-0-2-0", "4-3-2-0"])
+    def test_eight_node_what_if_points(self, xi, p_slack, iterations):
+        network_doc = json.loads(bundled_path("eight-node", "network").read_text())
+        scenario_doc = json.loads(bundled_path("eight-node", "scenario").read_text())
+        scenario_doc["xi"] = xi
+        for node in network_doc["nodes"]:
+            if node["role"] == "slack":
+                node.update(p_slack=p_slack, eta_s=0.08)
+            elif node["role"] == "withdrawal":
+                node["gE_max"] = 7000.0
+        scenario = parse_scenario(scenario_doc)
+        segnet = segment_pipes(parse_network(network_doc), scenario.dL)
+        result, _ = solve_steady(segnet, scenario)
+        assert (result.status, result.iterations) == ("local-optimum", iterations)
 
 
 def two_supply_network(first_supply="S1"):
