@@ -203,9 +203,10 @@ class _KktMatrix:
     The pattern is stored symmetrically permuted: entry (i, j) of K is
     entry (q[i], q[j]) of the KKT matrix, and ``primal`` marks the entries
     with q < n.  q is the identity until the first factorization succeeds.
-    That one orders K with COLAMD; the next build writes K, the pattern
-    and ``slot`` permuted once to its column order, q = argsort(perm_c),
-    and every later factorization takes the stored order as it is."""
+    That one orders K with COLAMD and keeps only perm_c.  The next build,
+    which callers make after releasing that factor, stores K's pattern
+    and ``slot`` permuted once to that order, q = argsort(perm_c), and
+    every later factorization takes the stored order as it is."""
 
     def __init__(self, w_pattern, j_pattern):
         m, n = j_pattern.shape
@@ -223,7 +224,7 @@ class _KktMatrix:
         self.q = diag
         self.primal = diag < n
         self.ordered = False
-        self._ordering = None                # COLAMD order, for the next build
+        self._perm = None                    # COLAMD order, for the next build
 
     def _place(self, rows, cols):
         """CSC indices and indptr of the listed entries at (rows, cols),
@@ -233,12 +234,16 @@ class _KktMatrix:
         return keys % size, np.searchsorted(keys // size, np.arange(size + 1)), slot
 
     def build(self, W, J, d, delta_c):
-        if self._ordering is not None:
-            (indices, indptr, self.slot), self.q = self._ordering
-            self.K.indices[:], self.K.indptr[:] = indices, indptr
+        if self._perm is not None:
+            # entry (r, c) of K moves to (perm_c[r], perm_c[c])
+            K, perm = self.K, self._perm
+            cols = np.repeat(np.arange(self.size), np.diff(K.indptr))
+            K.indices[:], K.indptr[:], moved = self._place(perm[K.indices], perm[cols])
+            self.slot = moved[self.slot]
+            self.q = np.argsort(perm)
             self.primal = self.q < self.n
             self.ordered = True
-            self._ordering = None
+            self._perm = None
         self.K.data[:] = np.bincount(self.slot, minlength=self.K.nnz, weights=np.concatenate(
             [W, d, J, J, np.full(self.size - self.n, -delta_c)]))
         return self.K
@@ -250,16 +255,7 @@ class _KktMatrix:
                         panel_size=_LU_PANEL, relax=_LU_RELAX)
         lu = splu(K, permc_spec="COLAMD", options=dict(SymmetricMode=True),
                   panel_size=_LU_PANEL, relax=_LU_RELAX)
-        # entry (r, c) moves to (perm_c[r], perm_c[c]).  The permuted pattern
-        # is made now, while this factor is alive: arrays that last the whole
-        # solve then lie above the factor's memory in the heap, and with
-        # glibc's malloc later factors reuse that memory instead of faulting
-        # in fresh pages (eight-node transient solve: 2.3k instead of 26k
-        # minor page faults in SuperLU)
-        perm = lu.perm_c.astype(np.int64)
-        cols = np.repeat(np.arange(self.size), np.diff(K.indptr))
-        self._ordering = (self._place(perm[K.indices[self.slot]], perm[cols[self.slot]]),
-                          np.argsort(perm))
+        self._perm = lu.perm_c.astype(np.int64)
         return lu
 
 
@@ -408,6 +404,7 @@ class _InteriorPoint:
                 step = np.empty_like(d)
                 step[q] = d
                 return step[:n], step[n:], delta_w, _ordered_solve(lu, q)
+            lu = None                        # free the rejected factor before the rebuild
             attempts += 1
             delta_c = min(10.0 * delta_c, 1e-4)
             if delta_w == 0.0:

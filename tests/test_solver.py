@@ -345,6 +345,44 @@ class TestFixedKktPattern:
         # the COLAMD factorization's matrix was in the original order
         assert not np.array_equal(kkt_factorizations[0][1].indices, K.indices)
 
+    @pytest.mark.parametrize("solve, expected", [
+        (lambda: two_stage(*steady_line_case(profiles={
+            "N1": {"type": "sinusoid", "eta0": 0.1, "delta": 0.05}}))[:2], [0, 0, 0, 0]),
+        (lambda: [solve_nlp(ConcaveProblem(ub=(5.0, 5.0)), np.array([0.0, 0.0]))],
+         [0, 0]),
+    ], ids=["line-steady-transient", "concave-retry"])
+    def test_reorder_runs_with_no_factor_alive(self, monkeypatch, solve, expected):
+        """Each solve places its pattern twice: at set-up, and when the build
+        after the COLAMD factorization stores K in that order.  No factor is
+        alive at either, also when that factorization is rejected and the
+        direction is retried with more regularization (the concave case)."""
+        live = [0]
+        splu = h2blend.solver.splu
+
+        class CountedFactor:
+            def __init__(self, lu):
+                self._lu = lu
+                live[0] += 1
+
+            def __del__(self):
+                live[0] -= 1
+
+            def __getattr__(self, name):
+                return getattr(self._lu, name)
+
+        live_at_place = []
+        place = _KktMatrix._place
+
+        def recorded_place(self, *args):
+            live_at_place.append(live[0])
+            return place(self, *args)
+
+        monkeypatch.setattr(h2blend.solver, "splu",
+                            lambda *args, **kwargs: CountedFactor(splu(*args, **kwargs)))
+        monkeypatch.setattr(_KktMatrix, "_place", recorded_place)
+        assert all(r.status == "local-optimum" for r in solve())
+        assert live_at_place == expected
+
     def test_changed_hessian_pattern_raises(self):
         """Hessian values that do not fit hess_pattern, at the first
         evaluation or a later one, are an error that names both."""
