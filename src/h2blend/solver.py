@@ -192,13 +192,16 @@ def _fitted(values, pattern, method, pattern_name):
 class _KktMatrix:
     """KKT matrix [[W + diag(d), J^T], [J, -delta_c I]] on a CSC pattern
     fixed by the Hessian and Jacobian patterns.  One CSC matrix ``K``
-    holds it for the whole solve; every build only writes values into it.
-    The values of W and J come from _BarrierProblem.hessian and
+    holds it for the whole solve; every build writes the values in place
+    into ``K.data``, block by block, with no array the size of the
+    pattern.  The values of W and J come from _BarrierProblem.hessian and
     _BarrierProblem.jacobian, in the order of their patterns.
 
     ``slot`` maps, in order, the values of W, the n diagonal entries d,
     the values of J (lower block), the values of J again (upper block,
-    J^T) and the m entries -delta_c to their places in the pattern.
+    J^T) and the m entries -delta_c to their places in the pattern.  The
+    primal diagonal is the one set of positions that two blocks share
+    (W's diagonal and d); every other position has exactly one source.
 
     The pattern is stored symmetrically permuted: entry (i, j) of K is
     entry (q[i], q[j]) of the KKT matrix, and ``primal`` marks the entries
@@ -244,8 +247,17 @@ class _KktMatrix:
             self.primal = self.q < self.n
             self.ordered = True
             self._perm = None
-        self.K.data[:] = np.bincount(self.slot, minlength=self.K.nnz, weights=np.concatenate(
-            [W, d, J, J, np.full(self.size - self.n, -delta_c)]))
+        # d's slots are the primal diagonal, which W shares: reset it before
+        # W lands and add d after, so no entry keeps the last build's value
+        w_at, d_at, j_at, jt_at, c_at = np.split(
+            self.slot, np.cumsum([len(W), self.n, len(J), len(J)]))
+        data = self.K.data
+        data[d_at] = 0.0
+        data[w_at] = W
+        data[d_at] += d
+        data[j_at] = J
+        data[jt_at] = J
+        data[c_at] = -delta_c
         return self.K
 
     def factor(self, K):

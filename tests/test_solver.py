@@ -3,6 +3,7 @@ import copy
 import json
 import re
 import sys
+import tracemalloc
 import types
 
 import numpy as np
@@ -344,6 +345,58 @@ class TestFixedKktPattern:
             assert np.abs(A @ lu.solve(b) - b).max() <= 1e-7 * (np.abs(b).max() + 1.0)
         # the COLAMD factorization's matrix was in the original order
         assert not np.array_equal(kkt_factorizations[0][1].indices, K.indices)
+
+    @staticmethod
+    def transient_kkt():
+        """The KKT matrix of the transient sinusoid line case, and a draw of
+        random values (W, J, d, delta_c) for it."""
+        segnet, scenario = steady_line_case(profiles={
+            "N1": {"type": "sinusoid", "eta0": 0.1, "delta": 0.05}})
+        bp = _BarrierProblem(assemble_nlp(segnet, scenario,
+                                          TimeGrid(scenario.n_steps, scenario.dt)))
+        rng = np.random.default_rng(7)
+
+        def draw():
+            return (rng.standard_normal(bp.p.hess_pattern.nnz),
+                    rng.standard_normal(bp.j_pattern.nnz),
+                    rng.standard_normal(bp.n_y), rng.uniform(1e-9, 1e-4))
+
+        return bp, _KktMatrix(bp.p.hess_pattern, bp.j_pattern), draw
+
+    def test_build_allocates_no_array_the_size_of_the_pattern(self):
+        """A refill writes into K's own values: what it allocates stays
+        below one float per stored entry."""
+        _, kkt, draw = self.transient_kkt()
+        K = kkt.build(*draw())
+        values = draw()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            kkt.build(*values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < K.nnz * K.data.itemsize
+
+    def test_every_build_writes_exactly_the_kkt_matrix(self):
+        """After a refill, and after the refill that stores K in the COLAMD
+        order, K holds exactly [[W + diag(d), J^T], [J, -delta_c I]] in its
+        order q: no entry keeps a value of the build before, the diagonal
+        of the slack columns (where W has no entry) included."""
+        bp, kkt, draw = self.transient_kkt()
+        n, m = bp.n_y, bp.m
+        hp, jp = bp.p.hess_pattern, bp.j_pattern
+        kkt.factor(kkt.build(*draw()))
+        for _ in range(2):
+            W, J, d, delta_c = draw()
+            K = kkt.build(W, J, d, delta_c)
+            assert kkt.ordered and not np.array_equal(kkt.q, np.arange(n + m))
+            W = sp.csr_matrix((W, hp.indices, hp.indptr), shape=hp.shape)
+            W.resize(n, n)
+            J = sp.csr_matrix((J, jp.indices, jp.indptr), shape=jp.shape)
+            expected = sp.bmat([[W + sp.diags(d), J.T],
+                                [J, sp.diags(np.full(m, -delta_c))]]).toarray()
+            assert np.array_equal(K.toarray(), expected[np.ix_(kkt.q, kkt.q)])
 
     @pytest.mark.parametrize("solve, expected", [
         (lambda: two_stage(*steady_line_case(profiles={
