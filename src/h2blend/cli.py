@@ -2,7 +2,8 @@
 and write time-series CSV outputs.
 
 Exit codes: 0 success, 2 invalid or unreadable input or unwritable output,
-3 infeasible, 4 iteration limit, 5 post-solve audit failure, 1 internal failure.
+3 infeasible or a solver error, 4 iteration limit, 5 post-solve audit
+failure, 1 internal failure.
 """
 
 from __future__ import annotations

@@ -44,7 +44,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .transcription import NlpProblem, TimeGrid, assemble_nlp
+from .transcription import NlpProblem, TimeGrid, assemble_nlp, compressed_layout
 from .network import Scenario, SegmentedNetwork
 
 _MU_INIT = 1e-1
@@ -121,27 +121,17 @@ class _BarrierProblem:
         ub[self.fix_idx] = np.inf
         self.L = np.concatenate([lb, problem.ineq_lb])
         self.U = np.concatenate([ub, problem.ineq_ub])
-        n_fix = len(self.fix_idx)
-        self.m = problem.n_eq + problem.n_ineq + n_fix
-        # the inequality rows [P, -I] and the pinned-variable rows are
-        # linear, so built once, straight from the CSR arrays of P: row i
-        # of P gains the slack entry -1 at column n_x + i after its own
-        P = problem.ineq_jacobian(np.zeros(self.n_x))
-        n_s, row_ends = self.n_s, P.indptr[1:]
-        self._const_rows = sp.csr_matrix(
-            (np.concatenate([np.insert(P.data, row_ends, -1.0), np.ones(n_fix)]),
-             np.concatenate([np.insert(P.indices, row_ends, self.n_x + np.arange(n_s)),
-                             self.fix_idx]),
-             np.concatenate([P.indptr + np.arange(n_s + 1),
-                             P.nnz + n_s + np.arange(1, n_fix + 1)])),
-            shape=(n_s + n_fix, self.n_y))
-        # CSR pattern of [J_eq; constant rows]
+        self.m = problem.n_eq + problem.n_ineq + len(self.fix_idx)
+        # CSR pattern of [J_eq; P, -I; pin rows], J_eq in its own order;
+        # the inequality rows and the pin rows are linear, so their values
+        # are set here once
         J = problem.jac_const
-        self.j_pattern = sp.csr_matrix(
-            (np.zeros(J.nnz + self._const_rows.nnz),
-             np.concatenate([J.indices, self._const_rows.indices]),
-             np.concatenate([J.indptr, J.nnz + self._const_rows.indptr[1:]])),
-            shape=(self.m, self.n_y))
+        self.j_pattern = sp.vstack(
+            [sp.csr_matrix((J.data, J.indices, J.indptr), shape=(problem.n_eq, self.n_y)),
+             sp.hstack([problem.ineq_jacobian(np.zeros(self.n_x)),
+                        -sp.identity(self.n_s, format="csr")], format="csr"),
+             sp.identity(self.n_y, format="csr")[self.fix_idx]], format="csr")
+        self._const_values = self.j_pattern.data[J.nnz:]
         self._j_rows = np.repeat(np.arange(self.m), np.diff(self.j_pattern.indptr))
 
     def split(self, y):
@@ -157,7 +147,7 @@ class _BarrierProblem:
         of the CSR pattern ``j_pattern``; each call returns new values."""
         j_eq = _fitted(self.p.eq_jacobian(y[:self.n_x]), self.p.jac_const,
                        "eq_jacobian", "jac_const")
-        return np.concatenate([j_eq, self._const_rows.data])
+        return np.concatenate([j_eq, self._const_values])
 
     def jacobian_t_dot(self, J, v) -> np.ndarray:
         """J^T v for Jacobian values J from ``jacobian``, summed over the
@@ -191,17 +181,19 @@ def _fitted(values, pattern, method, pattern_name):
 
 class _KktMatrix:
     """KKT matrix [[W + diag(d), J^T], [J, -delta_c I]] on a CSC pattern
-    fixed by the Hessian and Jacobian patterns.  One CSC matrix ``K``
-    holds it for the whole solve; every build writes the values in place
-    into ``K.data``, block by block, with no array the size of the
-    pattern.  The values of W and J come from _BarrierProblem.hessian and
+    fixed by the Hessian and Jacobian patterns and laid out by
+    ``compressed_layout``.  One CSC matrix ``K`` holds it for the whole
+    solve; every build writes the values in place into ``K.data``, block
+    by block, with no array the size of the pattern.  The values of W (its
+    lower triangle) and J come from _BarrierProblem.hessian and
     _BarrierProblem.jacobian, in the order of their patterns.
 
-    ``slot`` maps, in order, the values of W, the n diagonal entries d,
-    the values of J (lower block), the values of J again (upper block,
-    J^T) and the m entries -delta_c to their places in the pattern.  The
-    primal diagonal is the one set of positions that two blocks share
-    (W's diagonal and d); every other position has exactly one source.
+    ``slot`` maps, in order, the values of W (lower triangle) and of J
+    (lower block), the same values again as their mirror images W^T and
+    J^T, the n diagonal entries d and the m entries -delta_c to their
+    places in the pattern.  The primal diagonal is the one set of
+    positions that blocks share (the diagonal of W, of W^T and d); every
+    other position has exactly one source.
 
     The pattern is stored symmetrically permuted: entry (i, j) of K is
     entry (q[i], q[j]) of the KKT matrix, and ``primal`` marks the entries
@@ -215,13 +207,14 @@ class _KktMatrix:
         m, n = j_pattern.shape
         self.n = n
         self.size = n + m
-        w_rows = np.repeat(np.arange(w_pattern.shape[0]), np.diff(w_pattern.indptr))
-        j_rows = n + np.repeat(np.arange(m), np.diff(j_pattern.indptr))
-        j_cols = j_pattern.indices
+        # W and J as entries (rows, cols) of K's lower triangle
+        w, j = w_pattern.tocoo(), j_pattern.tocoo()
+        rows, cols = np.concatenate([w.row, n + j.row]), np.concatenate([w.col, j.col])
         diag = np.arange(self.size)
-        indices, indptr, self.slot = self._place(
-            np.concatenate([w_rows, diag[:n], j_rows, j_cols, diag[n:]]),
-            np.concatenate([w_pattern.indices, diag[:n], j_cols, j_rows, diag[n:]]))
+        # listed column first (CSC): W and J, W^T and J^T, the diagonal
+        indices, indptr, self.slot = compressed_layout(
+            np.concatenate([cols, rows, diag]), np.concatenate([rows, cols, diag]),
+            self.size, self.size)
         self.K = sp.csc_matrix((np.zeros(len(indices)), indices, indptr),
                                shape=(self.size, self.size))
         self.q = diag
@@ -229,31 +222,26 @@ class _KktMatrix:
         self.ordered = False
         self._perm = None                    # COLAMD order, for the next build
 
-    def _place(self, rows, cols):
-        """CSC indices and indptr of the listed entries at (rows, cols),
-        and their slot map."""
-        size = self.size
-        keys, slot = np.unique(cols * size + rows, return_inverse=True)
-        return keys % size, np.searchsorted(keys // size, np.arange(size + 1)), slot
-
     def build(self, W, J, d, delta_c):
         if self._perm is not None:
             # entry (r, c) of K moves to (perm_c[r], perm_c[c])
             K, perm = self.K, self._perm
             cols = np.repeat(np.arange(self.size), np.diff(K.indptr))
-            K.indices[:], K.indptr[:], moved = self._place(perm[K.indices], perm[cols])
+            K.indices[:], K.indptr[:], moved = compressed_layout(
+                perm[cols], perm[K.indices], self.size, self.size)
             self.slot = moved[self.slot]
             self.q = np.argsort(perm)
             self.primal = self.q < self.n
             self.ordered = True
             self._perm = None
-        # d's slots are the primal diagonal, which W shares: reset it before
-        # W lands and add d after, so no entry keeps the last build's value
-        w_at, d_at, j_at, jt_at, c_at = np.split(
-            self.slot, np.cumsum([len(W), self.n, len(J), len(J)]))
+        # W, W^T and d share the primal diagonal: reset it before W lands
+        # and add d after, so no entry keeps the last build's value
+        w_at, j_at, wt_at, jt_at, d_at, c_at = np.split(
+            self.slot, np.cumsum([len(W), len(J), len(W), len(J), self.n]))
         data = self.K.data
         data[d_at] = 0.0
         data[w_at] = W
+        data[wt_at] = W
         data[d_at] += d
         data[j_at] = J
         data[jt_at] = J
@@ -552,7 +540,7 @@ class _InteriorPoint:
         theta_max = 1e4 * max(1.0, theta)
         theta_min = 1e-4 * max(1.0, theta)
         delta_w_last = 0.0
-        status, message = "iteration-limit", ""
+        status, message = "iteration-limit", f"iteration limit of {opt.max_iter} reached"
         it = 0
 
         for it in range(1, opt.max_iter + 1):
@@ -631,7 +619,7 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray,
     """Solve an assembled problem from the given primal starting point, a
     finite array with one entry per variable; ``problem`` is an NlpProblem
     or an object with its interface, the patterns ``jac_const`` and
-    ``hess_pattern`` included."""
+    ``hess_pattern`` (the Hessian's lower triangle) included."""
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (problem.index.total,):
         raise ValueError(f"x0 has shape {x0.shape}, not ({problem.index.total},)")

@@ -21,6 +21,15 @@ from .network import Node, ParseError, Scenario, SegmentedNetwork
 from .physics import nondim_scales, pipe_beta
 
 
+def compressed_layout(major, minor, n_major, n_minor):
+    """Compressed layout (rows major for CSR, columns for CSC) of the
+    entries listed at (major, minor): the sorted minor indices and indptr
+    of the distinct entries, and the slot of each listed entry."""
+    keys, slot = np.unique(np.asarray(major, dtype=np.int64) * n_minor + minor,
+                           return_inverse=True)
+    return keys % n_minor, np.searchsorted(keys // n_minor, np.arange(n_major + 1)), slot
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Cyclic uniform time grid t_n = dt*(n-1), n = 1..N; succ(N) = 1."""
@@ -157,9 +166,10 @@ class NlpProblem:
     product order sets the last bit).  All derivatives and patterns follow
     from these tables.
 
-    Both sparsity patterns are fixed at assembly, as CSR matrices:
-    ``jac_const`` (the equality Jacobian, holding its linear coefficients)
-    and ``hess_pattern`` (the Lagrangian Hessian, both triangles).
+    Both sparsity patterns are fixed at assembly, as CSR matrices that
+    ``compressed_layout`` lays out: ``jac_const`` (the equality Jacobian,
+    holding the linear coefficients ``eq_constraints`` multiplies by x) and
+    ``hess_pattern`` (the Lagrangian Hessian's lower triangle).
     ``eq_jacobian`` and ``lagrangian_hessian`` return only the values on
     them, in the order of their ``data``; a solver takes the patterns once.
 
@@ -357,7 +367,6 @@ class NlpProblem:
         term(r, -(self.heat_ratio - 1.0), col("eta", wd_pos), col("qw", W))
 
         lin_r, lin_c, lin_v = (np.concatenate(a) for a in zip(*terms[1]))
-        self.A = sp.csr_matrix((lin_v, (lin_r, lin_c)), shape=(self.n_eq, n))
         self.bil_r, self.bil_p, self.bil_q, self.bil_v = (
             np.concatenate(a) for a in zip(*terms[2]))
 
@@ -390,32 +399,24 @@ class NlpProblem:
             for rows, cols, _, _ in self.kernels])
         jac_c = np.concatenate([lin_c, self.bil_p, self.bil_q]
                                + [cols.T.ravel() for _, cols, _, _ in self.kernels])
-        keys, slot = np.unique(jac_r * n + jac_c, return_inverse=True)
+        indices, indptr, slot = compressed_layout(jac_r, jac_c, self.n_eq, n)
         self.jac_slot = slot[len(lin_r):]
         self.jac_const = sp.csr_matrix(
-            (np.bincount(slot[:len(lin_r)], weights=lin_v, minlength=len(keys)),
-             keys % n, np.searchsorted(keys // n, np.arange(self.n_eq + 1))),
-            shape=(self.n_eq, n))
+            (np.bincount(slot[:len(lin_r)], weights=lin_v, minlength=len(indices)),
+             indices, indptr), shape=(self.n_eq, n))
 
-        # Fixed Hessian pattern, both triangles.  hess_slot maps each
+        # Fixed Hessian pattern, the lower triangle.  hess_slot maps each
         # second-derivative entry, in the order lagrangian_hessian lists them
-        # (bilinear terms, each kernel's pairs, objective), then each
-        # off-diagonal one again as its mirror image, into hess_pattern; both
-        # halves sum in the same order, so the result is exactly symmetric.
+        # (bilinear terms, each kernel's pairs, objective), into hess_pattern.
         hess_i, hess_j = (np.concatenate(
             [bil] + [cols[:, pairs[:, s]].T.ravel() for _, cols, pairs, _ in self.kernels]
             + obj)
             for s, bil, obj in ((0, self.bil_p, [self.C_fc, self.C_alpha]),
                                 (1, self.bil_q, [self.C_alpha, self.C_alpha])))
-        hess_r, hess_c = np.maximum(hess_i, hess_j), np.minimum(hess_i, hess_j)
-        self.hess_mirror = np.flatnonzero(hess_r > hess_c)
-        keys, self.hess_slot = np.unique(
-            np.concatenate([hess_r * n + hess_c,
-                            hess_c[self.hess_mirror] * n + hess_r[self.hess_mirror]]),
-            return_inverse=True)
-        self.hess_pattern = sp.csr_matrix(
-            (np.zeros(len(keys)), keys % n, np.searchsorted(keys // n, np.arange(n + 1))),
-            shape=(n, n))
+        indices, indptr, self.hess_slot = compressed_layout(
+            np.maximum(hess_i, hess_j), np.minimum(hess_i, hess_j), n, n)
+        self.hess_pattern = sp.csr_matrix((np.zeros(len(indices)), indices, indptr),
+                                          shape=(n, n))
 
         # --- pressure bounds (inequalities) ---------------------------------
         r = np.arange(len(self.press_pos) * N)
@@ -456,7 +457,7 @@ class NlpProblem:
     # -- evaluation ---------------------------------------------------------
 
     def eq_constraints(self, x: np.ndarray) -> np.ndarray:
-        out = self.A @ x - self.rhs + np.bincount(
+        out = self.jac_const @ x - self.rhs + np.bincount(
             self.bil_r, weights=self.bil_v * x[self.bil_p] * x[self.bil_q],
             minlength=self.n_eq)
         for rows, cols, _, fn in self.kernels:
@@ -517,7 +518,7 @@ class NlpProblem:
 
     def lagrangian_hessian(self, x, lam_eq) -> np.ndarray:
         """Values of the symmetric Hessian H_f + sum lam_i * H_ci of the
-        equality rows on the pattern of ``hess_pattern``.
+        equality rows on the pattern of ``hess_pattern``, its lower triangle.
 
         Inequality rows are linear, so their multipliers never contribute.
         Each entry sums its second derivatives in the order of ``hess_slot``.
@@ -530,8 +531,7 @@ class NlpProblem:
                for v in fn(self, x[cols], 2, lam_eq[rows])]
             # objective curvature (fc, alpha), (alpha, alpha)
             + [self.obj_wc / (2.0 * sq), -self.obj_wc * x[self.C_fc] / (4.0 * alpha * sq)])
-        return np.bincount(self.hess_slot, minlength=self.hess_pattern.nnz,
-                           weights=np.concatenate([vals, vals[self.hess_mirror]]))
+        return np.bincount(self.hess_slot, weights=vals, minlength=self.hess_pattern.nnz)
 
     # -- bookkeeping --------------------------------------------------------
 

@@ -129,7 +129,9 @@ def conservation_audit(trajectory: SolutionTrajectory, segnet: SegmentedNetwork,
 
     Computed by direct accounting of boundary transfers (no reuse of the
     assembled residuals): over a full cycle the linepack returns to its
-    starting value, so the nets must vanish relative to throughput.
+    starting value, so the nets must vanish relative to the throughput or,
+    when it is larger, the linepack: the most gas the segments held at one
+    time step, sum L A (rho_i + rho_j) / 2 over the segments.
     """
     tr = trajectory
     dt_s = tr.dt_hours * 3600.0 if tr.n_steps > 1 else scenario.dt * 3600.0
@@ -145,11 +147,15 @@ def conservation_audit(trajectory: SolutionTrajectory, segnet: SegmentedNetwork,
         wdr["H2"] += float(np.sum(eta * tr.qw[k]) * dt_s)
         wdr["NG"] += float(np.sum((1.0 - eta) * tr.qw[k]) * dt_s)
     report = AuditReport()
-    # normalize by total gas throughput so a species with zero design flow
-    # is not failed on numerical dust
-    throughput = max(inj["H2"] + inj["NG"], wdr["H2"] + wdr["NG"], 1e-300)
+    # normalize by total gas throughput or, where larger, the linepack, so
+    # no species or demand of zero is failed on numerical dust
+    rho = dict(zip(tr.node_ids, tr.rho_H2 + tr.rho_NG))
+    linepack = sum(s.L * s.A * (rho[s.from_node] + rho[s.to_node]) / 2.0
+                   for s in segnet.segments)
+    scale = max(inj["H2"] + inj["NG"], wdr["H2"] + wdr["NG"],
+                float(np.max(linepack, initial=0.0)), 1e-300)
     for sp in ("H2", "NG"):
-        rel = abs(inj[sp] - wdr[sp]) / throughput
+        rel = abs(inj[sp] - wdr[sp]) / scale
         report.add(f"conservation/{sp}", rel <= tol, rel, tol,
                    detail=f"injected {inj[sp]:.6e} kg, withdrawn {wdr[sp]:.6e} kg")
     return report

@@ -1,12 +1,16 @@
 import copy
+import functools
 import json
 import math
 import shutil
 
 import pytest
 
+import h2blend.cli
+import h2blend.solver
 from conftest import LINE_NETWORK_DOC, SHORT_SCENARIO_DOC
 from h2blend.cli import bundled_path, main
+from h2blend.solver import SolverOptions
 
 
 @pytest.fixture
@@ -20,6 +24,11 @@ def case_files(tmp_path):
 
 def run_cli(*args):
     return main([str(a) for a in args])
+
+
+def singular_factor(*args, **kwargs):
+    """A stand-in for SuperLU to which every matrix is singular."""
+    raise RuntimeError("Factor is exactly singular")
 
 
 class TestArgumentsAndExitCodes:
@@ -178,6 +187,39 @@ class TestArgumentsAndExitCodes:
         net_path.write_text(json.dumps(doc))
         assert run_cli("--network", net_path, "--scenario", scn_path,
                        "--out", tmp_path / "out", "--mode", "steady") == 3
+
+    @pytest.mark.parametrize("patch, code, message", [
+        (lambda mp: mp.setattr(h2blend.cli, "SolverOptions",
+                               functools.partial(SolverOptions, max_iter=2)),
+         4, "iteration limit of 2 reached"),
+        (lambda mp: mp.setattr(h2blend.solver, "splu", singular_factor),
+         3, "KKT system could not be regularized"),
+    ], ids=["iteration-limit", "error"])
+    def test_stage_that_stops_early(self, tmp_path, case_files, capsys, monkeypatch,
+                                    patch, code, message):
+        """A solve stopped at the iteration limit exits 4, one ending in a
+        solver error (no factorization succeeds) 3; stderr names why."""
+        patch(monkeypatch)
+        net_path, scn_path = case_files
+        assert run_cli("--network", net_path, "--scenario", scn_path,
+                       "--out", tmp_path / "out") == code
+        assert f"error: steady stage: {message}\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("demand", [{"gE_max": 0.0}, {"gE_fixed": 0.0}],
+                             ids=["gE_max", "gE_fixed"])
+    def test_zero_demand_passes_the_audit(self, tmp_path, case_files, demand):
+        """With no energy withdrawn, the transfers are numerical dust; the
+        conservation audit measures their net against the linepack."""
+        net_path, scn_path = case_files
+        doc = copy.deepcopy(LINE_NETWORK_DOC)
+        doc["nodes"][1].pop("gE_max")
+        doc["nodes"][1].update(demand)
+        net_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run_cli("--network", net_path, "--scenario", scn_path, "--out", out) == 0
+        audit = json.loads((out / "audit.json").read_text())
+        assert all(c["passed"] for c in audit["checks"]
+                   if c["name"].startswith("conservation/"))
 
     def test_out_is_a_file(self, tmp_path, case_files, capsys):
         net_path, scn_path = case_files

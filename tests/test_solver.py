@@ -139,6 +139,7 @@ class TestInteriorPointOnQuadratics:
                            SolverOptions(max_iter=1))
         assert result.status == "iteration-limit"
         assert result.status != "local-optimum"
+        assert result.message == "iteration limit of 1 reached"
 
 
 def steady_line_case(eta_s=0.0, **scenario_overrides):
@@ -381,22 +382,24 @@ class TestFixedKktPattern:
     def test_every_build_writes_exactly_the_kkt_matrix(self):
         """After a refill, and after the refill that stores K in the COLAMD
         order, K holds exactly [[W + diag(d), J^T], [J, -delta_c I]] in its
-        order q: no entry keeps a value of the build before, the diagonal
-        of the slack columns (where W has no entry) included."""
+        order q, W the lower triangle drawn plus its mirror image: K is
+        exactly symmetric, and no entry keeps a value of the build before,
+        the diagonal of the slack columns (where W has no entry) included."""
         bp, kkt, draw = self.transient_kkt()
         n, m = bp.n_y, bp.m
         hp, jp = bp.p.hess_pattern, bp.j_pattern
         kkt.factor(kkt.build(*draw()))
         for _ in range(2):
             W, J, d, delta_c = draw()
-            K = kkt.build(W, J, d, delta_c)
+            K = kkt.build(W, J, d, delta_c).toarray()
             assert kkt.ordered and not np.array_equal(kkt.q, np.arange(n + m))
+            assert np.array_equal(K, K.T)
             W = sp.csr_matrix((W, hp.indices, hp.indptr), shape=hp.shape)
             W.resize(n, n)
             J = sp.csr_matrix((J, jp.indices, jp.indptr), shape=jp.shape)
-            expected = sp.bmat([[W + sp.diags(d), J.T],
+            expected = sp.bmat([[W + sp.tril(W, -1).T + sp.diags(d), J.T],
                                 [J, sp.diags(np.full(m, -delta_c))]]).toarray()
-            assert np.array_equal(K.toarray(), expected[np.ix_(kkt.q, kkt.q)])
+            assert np.array_equal(K, expected[np.ix_(kkt.q, kkt.q)])
 
     @pytest.mark.parametrize("solve, expected", [
         (lambda: two_stage(*steady_line_case(profiles={
@@ -405,10 +408,11 @@ class TestFixedKktPattern:
          [0, 0]),
     ], ids=["line-steady-transient", "concave-retry"])
     def test_reorder_runs_with_no_factor_alive(self, monkeypatch, solve, expected):
-        """Each solve places its pattern twice: at set-up, and when the build
-        after the COLAMD factorization stores K in that order.  No factor is
-        alive at either, also when that factorization is rejected and the
-        direction is retried with more regularization (the concave case)."""
+        """Each solve lays out its KKT pattern twice: at set-up, and when the
+        build after the COLAMD factorization stores K in that order.  No
+        factor is alive at either, also when that factorization is rejected
+        and the direction is retried with more regularization (the concave
+        case)."""
         live = [0]
         splu = h2blend.solver.splu
 
@@ -423,18 +427,18 @@ class TestFixedKktPattern:
             def __getattr__(self, name):
                 return getattr(self._lu, name)
 
-        live_at_place = []
-        place = _KktMatrix._place
+        live_at_layout = []
+        layout = h2blend.solver.compressed_layout
 
-        def recorded_place(self, *args):
-            live_at_place.append(live[0])
-            return place(self, *args)
+        def recorded_layout(*args):
+            live_at_layout.append(live[0])
+            return layout(*args)
 
         monkeypatch.setattr(h2blend.solver, "splu",
                             lambda *args, **kwargs: CountedFactor(splu(*args, **kwargs)))
-        monkeypatch.setattr(_KktMatrix, "_place", recorded_place)
+        monkeypatch.setattr(h2blend.solver, "compressed_layout", recorded_layout)
         assert all(r.status == "local-optimum" for r in solve())
-        assert live_at_place == expected
+        assert live_at_layout == expected
 
     def test_changed_hessian_pattern_raises(self):
         """Hessian values that do not fit hess_pattern, at the first

@@ -287,12 +287,13 @@ class TestDerivatives:
 
 
 def check_hessian(p, rng, extra_cols=()):
-    """The Hessian is exactly symmetric and matches central differences of
-    the Lagrangian gradient in 15 random columns and ``extra_cols``."""
+    """The Hessian's lower triangle, with its mirror image above the
+    diagonal, matches central differences of the Lagrangian gradient in 15
+    random columns and ``extra_cols``."""
     x = random_point(p, seed=7)
     lam = rng.standard_normal(p.n_eq)
-    H = on_pattern(p.hess_pattern, p.lagrangian_hessian(x, lam))
-    assert abs(H - H.T).max() == 0.0
+    lower = on_pattern(p.hess_pattern, p.lagrangian_hessian(x, lam))
+    H = lower + sp.tril(lower, -1).T
 
     def grad_lag(v):
         return p.gradient(v) + on_pattern(p.jac_const, p.eq_jacobian(v)).T @ lam
@@ -355,7 +356,7 @@ class TestStructure:
 
     def test_hessian_pattern_is_fixed(self, small_problem):
         """Every evaluation returns one value per entry of hess_pattern,
-        a canonical pattern holding both triangles."""
+        a canonical pattern of the lower triangle."""
         p = small_problem
         rng = np.random.default_rng(4)
         H1 = p.lagrangian_hessian(random_point(p, seed=1), rng.standard_normal(p.n_eq))
@@ -367,7 +368,7 @@ class TestStructure:
         keys = rows * n + H.indices
         # canonical: sorted within each row, no duplicate entries
         assert np.all(np.diff(keys) > 0)
-        assert np.array_equal(np.sort(H.indices * n + rows), keys)
+        assert np.all(H.indices <= rows)
 
     def test_objective_matches_economics(self, small_problem):
         p = small_problem
