@@ -415,6 +415,22 @@ class Scenario:
     def n_steps(self) -> int:
         return round(self.T_f / self.dt)
 
+    @property
+    def periods(self) -> int:
+        """m, the number of identical periods of the horizon's data: the
+        gcd of the step count and the integer frequency nu of every varying
+        sinusoid profile.  It is 1 when a varying profile is a series or has
+        a frequency that is not an integer, or when nothing varies."""
+        frequencies = []
+        for profile in self.profiles.values():
+            if profile.kind == "series":
+                return 1
+            if profile.kind == "sinusoid" and profile.delta != 0.0 and profile.nu != 0.0:
+                if not float(profile.nu).is_integer():
+                    return 1
+                frequencies.append(int(profile.nu))
+        return math.gcd(self.n_steps, *frequencies) if frequencies else 1
+
     def supply_fraction(self, node: Node, t_hours) -> np.ndarray:
         """Supply concentration profile for a node at the given grid times."""
         profile = self.profiles.get(node.id)

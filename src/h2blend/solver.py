@@ -28,15 +28,17 @@ restoration read.
 The result reports full-length bound multipliers on x.  A pinned
 variable's pin-row multiplier becomes its lower or upper bound
 multiplier, so the returned multipliers satisfy stationarity without the
-pin rows.  solve_steady and solve_transient return the problem they
-solved, for the post-solve audit to reuse.
+pin rows.  solve_steady returns the problem it solved, for the post-solve
+audit to reuse.  solve_transient solves one period of data that repeat
+over the horizon (Scenario.periods) and returns that result repeated
+onto the horizon problem, which it returns for the audit instead.
 """
 
 from __future__ import annotations
 
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 from typing import Optional
 
@@ -737,9 +739,31 @@ def solve_transient(segnet: SegmentedNetwork, scenario: Scenario,
     """Solve the cyclic transient problem warm-started from the steady
     solution x_steady (see solve_steady), replicated across the grid.
 
-    Returns (result, problem).
+    When the data repeat m = scenario.periods times over the horizon, the
+    problem solved is that of one period, N/m steps.  This is exact: a
+    shift of N/m steps leaves the horizon problem unchanged, and the
+    interior-point path from the shift-invariant replicated start stays
+    shift-invariant.  The result is unfolded onto the horizon problem: x,
+    the multipliers and the slacks repeat m times, and the objective is
+    the horizon's at that x; status, iterations, violation, KKT residual
+    and log are the one-period solve's.  With m = 1 the horizon problem is
+    the one solved.
+
+    Returns (result, problem), problem the horizon problem.
     """
-    grid = TimeGrid(n_points=scenario.n_steps, dt=scenario.dt)
-    problem = assemble_nlp(segnet, scenario, grid)
-    result = solve_nlp(problem, replicate_steady(x_steady, problem), options)
-    return result, problem
+    m = scenario.periods
+    n_period = scenario.n_steps // m
+    period = assemble_nlp(segnet, scenario, TimeGrid(n_points=n_period, dt=scenario.dt))
+    result = solve_nlp(period, replicate_steady(x_steady, period), options)
+    if m == 1:
+        return result, period
+    problem = assemble_nlp(segnet, scenario,
+                           TimeGrid(n_points=scenario.n_steps, dt=scenario.dt))
+
+    def unfold(v):
+        # entity-major, time-minor: each row is one entity's period
+        return np.tile(v.reshape(-1, n_period), m).ravel()
+
+    x = unfold(result.x)
+    return replace(result, x=x, objective=problem.objective(x),
+                   multipliers={k: unfold(v) for k, v in result.multipliers.items()}), problem

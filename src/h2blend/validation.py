@@ -201,27 +201,16 @@ def periodicity_check(trajectory: SolutionTrajectory, cycles: int,
     return report
 
 
-def _periodicity_cycles(scenario: Scenario) -> int:
-    """The integer frequency nu >= 2 of the scenario's varying sinusoid
-    profiles when they share exactly one, else 0."""
-    cycles = set()
-    for profile in scenario.profiles.values():
-        if profile.kind == "sinusoid" and profile.delta != 0.0:
-            nu = profile.nu
-            if abs(nu - round(nu)) < 1e-9 and round(nu) >= 2:
-                cycles.add(int(round(nu)))
-    return cycles.pop() if len(cycles) == 1 else 0
-
-
 def run_audits(trajectory: SolutionTrajectory, segnet: SegmentedNetwork,
                scenario: Scenario, feasibility_tol: float = 1e-5) -> AuditReport:
-    """Standard post-solve audit battery; the block periodicity check runs
-    when the scenario's profiles repeat an integer number of times (two or
-    more) over the horizon."""
+    """Standard post-solve audit battery.  The block periodicity check is
+    reported when a supply profile cycles more than once over the horizon;
+    it compares blocks of the scenario's periods (Scenario.periods), and is
+    not applicable when the data as a whole repeat only once."""
     report = check_feasibility(trajectory, segnet, scenario, feasibility_tol)
     report.extend(conservation_audit(trajectory, segnet, scenario))
     report.extend(flow_direction_audit(trajectory))
-    cycles = _periodicity_cycles(scenario)
-    if cycles:
-        report.extend(periodicity_check(trajectory, cycles))
+    if any(p.kind == "sinusoid" and p.delta != 0.0 and abs(p.nu) > 1.0
+           for p in scenario.profiles.values()):
+        report.extend(periodicity_check(trajectory, scenario.periods))
     return report

@@ -274,6 +274,38 @@ class TestProfiles:
         assert np.all(prof.evaluate([0.0, 10.0], 24.0) == 0.07)
 
 
+def sinusoid(nu, delta=0.01):
+    return {"type": "sinusoid", "eta0": 0.05, "delta": delta, "nu": nu}
+
+
+class TestPeriods:
+    """Scenario.periods: how many identical periods the data of a 48-step
+    horizon hold."""
+
+    @pytest.mark.parametrize("nus, periods", [
+        ((2,), 2), ((2, 4), 2), ((4,), 4), ((2, 3), 1), ((1, 2), 1), ((2.5,), 1)])
+    def test_sinusoid_frequencies(self, nus, periods):
+        scenario = parse_scenario({"profiles": {
+            f"S{k}": sinusoid(nu) for k, nu in enumerate(nus)}})
+        assert scenario.n_steps == 48
+        assert scenario.periods == periods
+
+    @pytest.mark.parametrize("profiles", [
+        {"S0": sinusoid(2), "S1": {"type": "series", "times": [0.0, 12.0],
+                                   "values": [0.1, 0.2]}},
+        {"S0": sinusoid(2, delta=0.0)},
+        {"S0": {"type": "constant", "eta0": 0.1}},
+        {}],
+        ids=["series", "zero-amplitude", "constant", "none"])
+    def test_data_that_do_not_vary_by_sinusoids_repeat_once(self, profiles):
+        assert parse_scenario({"profiles": profiles}).periods == 1
+
+    def test_steps_that_no_period_divides(self):
+        scenario = parse_scenario({"dt_hours": 0.96, "profiles": {"S0": sinusoid(2)}})
+        assert scenario.n_steps == 25
+        assert scenario.periods == 1
+
+
 class TestParseScenario:
     def test_defaults(self):
         scn = parse_scenario({})

@@ -1,5 +1,6 @@
 import builtins
 import copy
+import dataclasses
 import json
 import re
 import sys
@@ -15,6 +16,7 @@ import h2blend.solver
 from conftest import LINE_NETWORK_DOC, line_network, short_scenario
 from h2blend.cli import bundled_path
 from h2blend.network import (
+    Profile,
     load_network,
     load_scenario,
     parse_network,
@@ -852,6 +854,73 @@ class TestTransient:
         assert steady_result.status == result.status == "local-optimum"
         assert steady_result.log and result.log
         assert opened == [] and list(tmp_path.iterdir()) == []
+
+
+def bundled_case(case, **profiles):
+    """A bundled case's segmented network and scenario, with ``profiles``
+    replacing or adding supply profiles."""
+    scenario = load_scenario(bundled_path(case, "scenario"))
+    scenario = dataclasses.replace(scenario, profiles={**scenario.profiles, **profiles})
+    return segment_pipes(load_network(bundled_path(case, "network")), scenario.dL), scenario
+
+
+class _Stop(Exception):
+    pass
+
+
+def record_grids(monkeypatch, stop=False):
+    """The grid sizes of the problems h2blend.solver.solve_nlp receives from
+    here on; with ``stop``, the first call raises _Stop instead of solving."""
+    grids = []
+
+    def recorded(problem, *args, **kwargs):
+        grids.append(problem.grid.n_points)
+        if stop:
+            raise _Stop
+        return solve_nlp(problem, *args, **kwargs)
+
+    monkeypatch.setattr(h2blend.solver, "solve_nlp", recorded)
+    return grids
+
+
+class TestOnePeriodSolve:
+    """Data that repeat m times over the horizon are solved over one period
+    and the result is repeated; the result matches the horizon solve."""
+
+    @pytest.mark.parametrize("nu, n_points, iterations", [
+        (2.0, 24, 18), (4.0, 12, 17)], ids=["bundled", "nu-4"])
+    def test_matches_the_horizon_solve(self, monkeypatch, nu, n_points, iterations):
+        segnet, scenario = bundled_case("single-pipe", N1=Profile(
+            kind="sinusoid", eta0=0.1, delta=0.05, nu=nu))
+        steady, _ = solve_steady(segnet, scenario)
+        grids = record_grids(monkeypatch)
+        result, problem = solve_transient(segnet, scenario, steady.x)
+        assert grids == [n_points]
+        assert problem.grid.n_points == scenario.n_steps == 48
+
+        horizon = solve_nlp(problem, replicate_steady(steady.x, problem))
+        assert (result.status, result.iterations) == \
+            (horizon.status, horizon.iterations) == ("local-optimum", iterations)
+        assert result.objective == pytest.approx(horizon.objective, rel=1e-12)
+        for q in ("rho_h2", "rho_ng", "eta", "f0", "fl", "alpha", "fc", "qs", "qw", "ge"):
+            got, want = (problem.index.block(v, q) for v in (result.x, horizon.x))
+            assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+        assert {k: v.shape for k, v in result.multipliers.items()} == \
+            {k: v.shape for k, v in horizon.multipliers.items()}
+        assert result.objective == problem.objective(result.x)
+
+    @pytest.mark.parametrize("case, profiles", [
+        ("eight-node", {"J1": Profile(kind="sinusoid", eta0=0.08, delta=0.01, nu=2.0)}),
+        ("single-pipe", {"N1": Profile(kind="series", times=(0.0, 6.0, 12.0, 18.0),
+                                       values=(0.1, 0.15, 0.1, 0.15))})],
+        ids=["mixed-nu", "series"])
+    def test_data_that_repeat_once_are_solved_whole(self, monkeypatch, case, profiles):
+        segnet, scenario = bundled_case(case, **profiles)
+        steady = assemble_nlp(segnet, scenario, TimeGrid(1, scenario.dt))
+        grids = record_grids(monkeypatch, stop=True)
+        with pytest.raises(_Stop):
+            solve_transient(segnet, scenario, _steady_initial_point(steady))
+        assert grids == [scenario.n_steps]
 
 
 class TestRoundingRobustness:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -7,7 +8,7 @@ import h2blend.solver
 import h2blend.validation
 from conftest import line_network, short_scenario
 from h2blend.cli import bundled_path
-from h2blend.network import load_network, load_scenario, segment_pipes
+from h2blend.network import Profile, load_network, load_scenario, segment_pipes
 from h2blend.solution import SolutionTrajectory, read_solution, write_solution
 from h2blend.solver import solve_steady, solve_transient
 from h2blend.validation import (
@@ -143,6 +144,26 @@ class TestPeriodicityAndFlowDirection:
         tr, _, _, _ = solved_case
         report = periodicity_check(tr, cycles=3)
         assert report.checks[0].detail == "not applicable"
+
+    def test_data_that_repeat_once_are_not_applicable(self):
+        """On eight-node, J1 cycling twice beside J7 cycling once makes data
+        that repeat only once over the horizon: the block check reports, but
+        compares nothing."""
+        net = load_network(bundled_path("eight-node", "network"))
+        scenario = load_scenario(bundled_path("eight-node", "scenario"))
+        scenario = dataclasses.replace(scenario, profiles={
+            **scenario.profiles,
+            "J1": Profile(kind="sinusoid", eta0=0.08, delta=0.01, nu=2.0)})
+        assert scenario.periods == 1
+        segnet = segment_pipes(net, scenario.dL)
+        steady_result, _ = solve_steady(segnet, scenario)
+        result, problem = solve_transient(segnet, scenario, steady_result.x)
+        assert result.status == "local-optimum"
+        tr = SolutionTrajectory.from_solution(problem, result.x)
+        report = run_audits(tr, segnet, scenario)
+        block = [c for c in report.checks if c.name == "periodicity/block"]
+        assert [(c.passed, c.detail) for c in block] == [(True, "not applicable")]
+        assert report.passed
 
     def test_flow_reversal_is_advisory(self, solved_case):
         tr, _, _, _ = solved_case
