@@ -14,9 +14,13 @@ complementarity and the dual step are all taken over that list.
 Each iteration solves the primal-dual Newton system: a sparse symmetric
 KKT matrix on the sparsity patterns the problem fixes at assembly
 (``jac_const`` and ``hess_pattern``), held in one CSC matrix that is
-refilled in place and factored by SuperLU in the column order COLAMD
-finds at the first factorization.  Without inertia information, the
-primal block is regularized until the direction has positive curvature.
+refilled in place and factored by SuperLU in the order found at the first
+factorization.  A matrix of 1,000 rows or more is factored without row
+pivoting, in a minimum-degree order of K + K^T, and its solves are refined
+against K; once such a factor fails, that build and every later one are
+factored with threshold pivoting in a COLAMD order, as smaller matrices
+always are.  Without inertia information, the primal block is regularized
+until the direction has positive curvature.
 A filter line search accepts the step: every trial, second-order
 corrections included, passes one test (Armijo decrease for an f-type
 step, else the filter).  When the KKT system or the line search fails, a
@@ -74,6 +78,14 @@ _BOUND_PUSH = 1e-2
 # problem faster than wider ones
 _LU_PANEL = 1
 _LU_RELAX = 5
+# a KKT matrix of at least this many rows is factored without row pivoting
+# until such a factor fails (see _KktMatrix); a smaller one always pivots
+_UNPIVOTED_ROWS = 1000
+# a solve with an unpivoted factor is refined against K by up to
+# _REFINE_STEPS steps, until its residual is at most _REFINE_TOL * (|b| + 1)
+# or a step does not halve it
+_REFINE_STEPS = 5
+_REFINE_TOL = 1e-13
 
 
 @dataclass
@@ -100,7 +112,10 @@ class SolveResult:
     multipliers: dict = field(default_factory=dict)
     message: str = ""
     # one row per accepted step: iteration, mu, objective, violation, kkt,
-    # step, regularization
+    # step, regularization, the KKT factorizations since the row before
+    # (retries, and those of an iteration that went to restoration,
+    # included) and whether the step's direction came from a factor with
+    # row pivoting
     log: list = field(default_factory=list)
 
 
@@ -200,10 +215,22 @@ class _KktMatrix:
     The pattern is stored symmetrically permuted: entry (i, j) of K is
     entry (q[i], q[j]) of the KKT matrix, and ``primal`` marks the entries
     with q < n.  q is the identity until the first factorization succeeds.
-    That one orders K with COLAMD and keeps only perm_c.  The next build,
-    which callers make after releasing that factor, stores K's pattern
-    and ``slot`` permuted once to that order, q = argsort(perm_c), and
-    every later factorization takes the stored order as it is."""
+    That one orders K (``permc_spec``) and keeps only perm_c.  The next
+    build, which callers make after releasing that factor, stores K's
+    pattern and ``slot`` permuted once to that order, and every later
+    factorization takes the stored order as it is (NATURAL).
+
+    A smaller matrix is factored with threshold partial pivoting in a
+    COLAMD order.  One of at least _UNPIVOTED_ROWS rows is factored without
+    row pivoting (``pivoted`` false), in a minimum-degree order of K + K^T,
+    and each solve with that factor is refined against K.  When such a
+    factor raises or its solve misses the caller's residual tolerance, it
+    is freed and the same K is factored with pivoting in a COLAMD order of
+    K as stored; so is every later build of the solve, since the barrier
+    parameter only falls and later matrices are worse conditioned.  Only a
+    failure at the first factorization leaves K to be stored in the COLAMD
+    order, which makes the rest of the solve that of a smaller matrix.
+    ``factorizations`` counts every factorization."""
 
     def __init__(self, w_pattern, j_pattern):
         m, n = j_pattern.shape
@@ -222,7 +249,10 @@ class _KktMatrix:
         self.q = diag
         self.primal = diag < n
         self.ordered = False
-        self._perm = None                    # COLAMD order, for the next build
+        self.pivoted = self.size < _UNPIVOTED_ROWS
+        self.permc_spec = "COLAMD" if self.pivoted else "MMD_AT_PLUS_A"
+        self.factorizations = 0
+        self._perm = None                    # the order found, for the next build
 
     def build(self, W, J, d, delta_c):
         if self._perm is not None:
@@ -234,7 +264,7 @@ class _KktMatrix:
             self.slot = moved[self.slot]
             self.q = np.argsort(perm)
             self.primal = self.q < self.n
-            self.ordered = True
+            self.ordered, self.permc_spec = True, "NATURAL"
             self._perm = None
         # W, W^T and d share the primal diagonal: reset it before W lands
         # and add d after, so no entry keeps the last build's value
@@ -252,20 +282,64 @@ class _KktMatrix:
 
     def factor(self, K):
         """SuperLU factor of the built matrix K, in K's order q."""
-        if self.ordered:
-            return splu(K, permc_spec="NATURAL", options=dict(SymmetricMode=True),
-                        panel_size=_LU_PANEL, relax=_LU_RELAX)
-        lu = splu(K, permc_spec="COLAMD", options=dict(SymmetricMode=True),
+        self.factorizations += 1
+        options = dict(SymmetricMode=True)
+        if not self.pivoted:
+            options["DiagPivotThresh"] = 0.0
+        lu = splu(K, permc_spec=self.permc_spec, options=options,
                   panel_size=_LU_PANEL, relax=_LU_RELAX)
-        self._perm = lu.perm_c.astype(np.int64)
+        if not self.ordered:
+            self._perm = lu.perm_c.astype(np.int64)
         return lu
 
+    def solve(self, K, b, tol):
+        """Factor the built matrix K and solve K d = b, both in K's order q.
+        Returns (d, lu) when d is finite and its residual is at most tol,
+        else (None, None); a failed unpivoted factor falls back to pivoting
+        on the same K."""
+        while True:
+            d = None
+            try:
+                lu = self.factor(K)
+                d, res = _refined_solve(lu, K, b, not self.pivoted)
+            except RuntimeError:
+                pass
+            if d is not None and np.all(np.isfinite(d)) and res <= tol:
+                return d, lu
+            lu = None                        # free the failed factor first
+            if self.pivoted:
+                return None, None
+            self.pivoted, self.permc_spec, self._perm = True, "COLAMD", None
 
-def _ordered_solve(lu, q):
-    """Solve K d = rhs with the factor lu of K[q][:, q]."""
+
+def _refined_solve(lu, K, b, refine):
+    """Solution d of K d = b from the factor lu of K, and its residual
+    max |b - K d|; with ``refine``, after iterative refinement against K
+    (see _REFINE_STEPS), each step kept if it lowers the residual."""
+    d = lu.solve(b)
+    r = b - K @ d
+    res = np.abs(r).max(initial=0.0)
+    tol = _REFINE_TOL * (np.abs(b).max(initial=0.0) + 1.0)
+    for _ in range(_REFINE_STEPS if refine else 0):
+        if not tol < res < np.inf:
+            break
+        d_new = d + lu.solve(r)
+        r_new = b - K @ d_new
+        res_new = np.abs(r_new).max(initial=0.0)
+        halved = res_new <= 0.5 * res
+        if res_new < res:
+            d, r, res = d_new, r_new, res_new
+        if not halved:
+            break
+    return d, res
+
+
+def _ordered_solve(lu, K, q, refine):
+    """Solve of the KKT system with the factor lu of K, which holds the KKT
+    matrix in order q, refined against K if ``refine`` (_refined_solve)."""
     def solve(rhs):
         d = np.empty_like(rhs)
-        d[q] = lu.solve(rhs[q])
+        d[q] = _refined_solve(lu, K, rhs[q], refine)[0]
         return d
     return solve
 
@@ -349,10 +423,11 @@ class _InteriorPoint:
         """Scaled KKT error at the record pt for barrier parameter mu."""
         return max(pt.err0, np.abs(pt.comp - mu).max(initial=0.0) / pt.s_c)
 
-    def _barrier_value(self, y, f, mu):
-        """Barrier function at y, whose objective value is f."""
+    @staticmethod
+    def _barrier_value(gap, f, mu):
+        """Barrier function at a point with gaps gap and objective value f."""
         if mu > 0.0:
-            f -= mu * np.sum(np.log(self._gap(y)))
+            f -= mu * np.sum(np.log(gap))
         return f
 
     def _barrier_grad(self, pt, mu):
@@ -387,16 +462,8 @@ class _InteriorPoint:
         while True:
             K = kkt.build(W, J, sigma + delta_w, delta_c)
             q = kkt.q
-            try:
-                lu = kkt.factor(K)
-                rhs_q = rhs[q]
-                d = lu.solve(rhs_q)
-            except RuntimeError:
-                d = None
-            ok = d is not None and np.all(np.isfinite(d)) \
-                and np.abs(d).max(initial=0.0) < 1e10
-            if ok:
-                ok = np.abs(K @ d - rhs_q).max(initial=0.0) <= res_tol
+            d, lu = kkt.solve(K, rhs[q], res_tol)
+            ok = d is not None and np.abs(d).max(initial=0.0) < 1e10
             if ok:
                 # curvature dy' H dy from the H block of K ([dy; 0] in K's order)
                 v = np.where(kkt.primal, d, 0.0)
@@ -405,7 +472,7 @@ class _InteriorPoint:
             if ok:
                 step = np.empty_like(d)
                 step[q] = d
-                return step[:n], step[n:], delta_w, _ordered_solve(lu, q)
+                return step[:n], step[n:], delta_w, _ordered_solve(lu, K, q, not kkt.pivoted)
             lu = None                        # free the rejected factor before the rebuild
             attempts += 1
             delta_c = min(10.0 * delta_c, 1e-4)
@@ -428,11 +495,13 @@ class _InteriorPoint:
         one test: Armijo decrease of the barrier value when the step is
         f-type, else acceptance by the filter and the current point, which
         an accepted trial without enough barrier decrease adds to the
-        filter.  Returns (alpha, y, c, f) of the accepted trial, or None."""
+        filter.  A trial that rounding puts on or past a bound (a gap <= 0)
+        is rejected before its objective is evaluated.  Returns (alpha, y,
+        c, f) of the accepted trial, or None."""
         bp = self.bp
         y = pt.y
         theta = np.abs(pt.c).sum()
-        phi = self._barrier_value(y, pt.f, mu)
+        phi = self._barrier_value(pt.gap, pt.f, mu)
         dphi = float(gphi @ dy)
         a_max = self._fraction_to_boundary(pt.gap, dy, tau)
 
@@ -457,8 +526,11 @@ class _InteriorPoint:
             f_type = (theta <= theta_min and dphi < 0.0
                       and alpha * (-dphi) ** _S_PHI > theta ** _S_THETA)
             for y_t, c_t, theta_t in trials(alpha):
+                gap_t = self._gap(y_t)
+                if np.any(gap_t <= 0.0):
+                    continue                 # rounded onto or past a bound
                 f_t = bp.objective(y_t)
-                phi_t = self._barrier_value(y_t, f_t, mu)
+                phi_t = self._barrier_value(gap_t, f_t, mu)
                 accepted = phi_t <= phi + _ETA_PHI * alpha * dphi if f_type else all(
                     theta_t <= (1.0 - _GAMMA_THETA) * th_j or phi_t <= ph_j - _GAMMA_PHI * th_j
                     for th_j, ph_j in filt + [(theta, phi)])
@@ -542,6 +614,7 @@ class _InteriorPoint:
         theta_max = 1e4 * max(1.0, theta)
         theta_min = 1e-4 * max(1.0, theta)
         delta_w_last = 0.0
+        logged = 0                           # KKT factorizations in earlier log rows
         status, message = "iteration-limit", f"iteration limit of {opt.max_iter} reached"
         it = 0
 
@@ -589,7 +662,10 @@ class _InteriorPoint:
                                _clip_dual(pt.z + a_z * dz, self._gap(trial), mu), c_t, f_t)
             log.append(dict(iteration=it, mu=mu, objective=pt.f,
                             violation=float(np.abs(pt.c).max(initial=0.0)),
-                            kkt=pt.kkt, step=alpha, regularization=delta_w))
+                            kkt=pt.kkt, step=alpha, regularization=delta_w,
+                            factorizations=self._kkt.factorizations - logged,
+                            pivoted=self._kkt.pivoted))
+            logged = self._kkt.factorizations
 
         wall = time.perf_counter() - t_start
         y, lam = pt.y, pt.lam

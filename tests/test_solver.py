@@ -6,6 +6,7 @@ import re
 import sys
 import tracemalloc
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -403,18 +404,25 @@ class TestFixedKktPattern:
                                 [J, sp.diags(np.full(m, -delta_c))]]).toarray()
             assert np.array_equal(K, expected[np.ix_(kkt.q, kkt.q)])
 
-    @pytest.mark.parametrize("solve, expected", [
+    @pytest.mark.parametrize("solve, fail_at, expected", [
         (lambda: two_stage(*steady_line_case(profiles={
-            "N1": {"type": "sinusoid", "eta0": 0.1, "delta": 0.05}}))[:2], [0, 0, 0, 0]),
+            "N1": {"type": "sinusoid", "eta0": 0.1, "delta": 0.05}}))[:2], 0, [0, 0, 0, 0]),
         (lambda: [solve_nlp(ConcaveProblem(ub=(5.0, 5.0)), np.array([0.0, 0.0]))],
-         [0, 0]),
-    ], ids=["line-steady-transient", "concave-retry"])
-    def test_reorder_runs_with_no_factor_alive(self, monkeypatch, solve, expected):
+         0, [0, 0]),
+        (lambda: two_stage(*bundled_case("single-pipe"))[:2], 0, [0, 0, 0, 0]),
+        (lambda: two_stage(*bundled_case("single-pipe"))[:2], 1, [0, 0, 0, 0]),
+        (lambda: two_stage(*bundled_case("single-pipe"))[:2], 6, [0, 0, 0, 0]),
+    ], ids=["line-steady-transient", "concave-retry", "single-pipe-unpivoted",
+            "single-pipe-first-fallback", "single-pipe-later-fallback"])
+    def test_reorder_runs_with_no_factor_alive(self, monkeypatch, solve, fail_at, expected):
         """Each solve lays out its KKT pattern twice: at set-up, and when the
-        build after the COLAMD factorization stores K in that order.  No
+        build after the first factorization stores K in its order.  No
         factor is alive at either, also when that factorization is rejected
         and the direction is retried with more regularization (the concave
-        case)."""
+        case).  The single pipe's transient KKT matrix is factored without
+        row pivoting.  When the first such factor fails, the build after
+        its pivoted replacement stores K in that one's COLAMD order; a later
+        failure leaves K in its stored order, so no third layout runs."""
         live = [0]
         splu = h2blend.solver.splu
 
@@ -439,6 +447,8 @@ class TestFixedKktPattern:
         monkeypatch.setattr(h2blend.solver, "splu",
                             lambda *args, **kwargs: CountedFactor(splu(*args, **kwargs)))
         monkeypatch.setattr(h2blend.solver, "compressed_layout", recorded_layout)
+        if fail_at:
+            fail_unpivoted(monkeypatch, fail_at, "residual")
         assert all(r.status == "local-optimum" for r in solve())
         assert live_at_layout == expected
 
@@ -496,6 +506,161 @@ class TestFixedKktPattern:
             statuses.append((result.status, result.iterations > 1))
         assert statuses == [("local-optimum", True), ("iteration-limit", False)]
         assert counts[0] == counts[1] > 0
+
+
+def fail_unpivoted(monkeypatch, k, how):
+    """From here on, the k-th KKT factorization without row pivoting raises
+    (``how`` "raise") or solves every system to zero ("residual", which no
+    refinement repairs); with k 0 none fails.  Returns the record
+    (permc_spec, pivoted, matrix) of every KKT factorization."""
+    calls, unpivoted = [], [0]
+    splu = h2blend.solver.splu
+
+    class ZeroSolve:
+        def __init__(self, lu):
+            self._lu = lu
+
+        def solve(self, b):
+            return np.zeros_like(b)
+
+        def __getattr__(self, name):
+            return getattr(self._lu, name)
+
+    def patched(A, *args, **kwargs):
+        options = kwargs.get("options", {})
+        if options.get("SymmetricMode"):
+            pivoted = "DiagPivotThresh" not in options
+            calls.append((kwargs["permc_spec"], pivoted, A.copy()))
+            if not pivoted:
+                unpivoted[0] += 1
+                if unpivoted[0] == k:
+                    if how == "raise":
+                        raise RuntimeError("Factor is exactly singular")
+                    return ZeroSolve(splu(A, *args, **kwargs))
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(h2blend.solver, "splu", patched)
+    return calls
+
+
+class TestUnpivotedFactor:
+    """The bundled single pipe's transient, one period of 24 steps, has a
+    KKT matrix of 1,392 rows: it is factored without row pivoting, in one
+    minimum-degree order, and falls back to today's pivoted factorization
+    on a failure."""
+
+    @pytest.fixture(scope="class")
+    def transient(self):
+        """The transient solve, from the steady solution found once."""
+        segnet, scenario = bundled_case("single-pipe")
+        steady, _ = solve_steady(segnet, scenario)
+        return lambda: solve_transient(segnet, scenario, steady.x)[0]
+
+    def test_large_kkt_matrices_are_factored_without_pivoting(self, monkeypatch, transient):
+        calls = fail_unpivoted(monkeypatch, 0, "raise")
+        result = transient()
+        assert result.status == "local-optimum"
+        assert calls[0][2].shape[0] == 1392 >= h2blend.solver._UNPIVOTED_ROWS
+        assert [c[:2] for c in calls] == \
+            [("MMD_AT_PLUS_A", False)] + [("NATURAL", False)] * (len(calls) - 1)
+        assert [row["pivoted"] for row in result.log] == [False] * len(result.log)
+        assert sum(row["factorizations"] for row in result.log) == len(calls)
+
+    def test_failed_first_factor_gives_the_pivoted_solve(self, monkeypatch, transient):
+        """An unpivoted factor that raises at the first factorization leaves
+        a solve bit-identical to one that pivots from the start."""
+        with monkeypatch.context() as mp:
+            mp.setattr(h2blend.solver, "_UNPIVOTED_ROWS", 10 ** 9)
+            pivoted = transient()
+        calls = fail_unpivoted(monkeypatch, 1, "raise")
+        result = transient()
+        assert [c[:2] for c in calls] == [("MMD_AT_PLUS_A", False), ("COLAMD", True)] \
+            + [("NATURAL", True)] * (len(calls) - 2)
+        assert (result.status, result.iterations) == (pivoted.status, pivoted.iterations)
+        assert np.array_equal(result.x, pivoted.x)
+        assert result.objective == pivoted.objective
+        for key, value in pivoted.multipliers.items():
+            assert np.array_equal(result.multipliers[key], value)
+        # the same rows, but for the raised factorization in the first
+        assert result.log[0]["factorizations"] == pivoted.log[0]["factorizations"] + 1
+        result.log[0]["factorizations"] -= 1
+        assert result.log == pivoted.log
+
+    @pytest.mark.parametrize("k, later", [(1, "NATURAL"), (6, "COLAMD")])
+    def test_failed_residual_falls_back_for_the_rest_of_the_solve(self, monkeypatch,
+                                                                  transient, k, later):
+        """The k-th unpivoted factorization misses the residual tolerance:
+        the same matrix is factored with pivoting in a COLAMD order, every
+        later factorization pivots, and the solve ends at the same optimum.
+        After a failure at the first factorization, K is stored in the
+        COLAMD order found (NATURAL later on); after a later one, K keeps
+        its stored minimum-degree order, and each factorization finds a
+        COLAMD order of it."""
+        reference = transient()
+        calls = fail_unpivoted(monkeypatch, k, "residual")
+        result = transient()
+        assert result.status == "local-optimum"
+        assert result.objective == pytest.approx(reference.objective, rel=1e-9)
+        assert [c[:2] for c in calls] == [("MMD_AT_PLUS_A", False)] \
+            + [("NATURAL", False)] * (k - 1) + [("COLAMD", True)] \
+            + [(later, True)] * (len(calls) - k - 1)
+        failed, fallback = calls[k - 1][2], calls[k][2]
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(failed, part), getattr(fallback, part))
+        # the stored order changes after a failed first factorization only
+        rest = [c[2] for c in calls[k + 1:]]
+        assert rest and all(np.array_equal(A.indices, rest[0].indices) for A in rest)
+        assert np.array_equal(rest[0].indices, failed.indices) == (k > 1)
+        pivoted = [row["pivoted"] for row in result.log]
+        first = pivoted.index(True)
+        assert pivoted == [False] * first + [True] * (len(pivoted) - first)
+        assert result.log[first]["factorizations"] >= 2
+
+    def test_every_solve_meets_the_residual_tolerance(self, monkeypatch, transient):
+        """Each direction, and each second-order correction solve, from an
+        unpivoted factor solves the KKT system it was computed for within
+        res_tol of _solve_kkt, refined against K."""
+        ratios = []
+        solve_kkt = _InteriorPoint._solve_kkt
+
+        def residual(kkt, d, rhs):
+            q, K = kkt.q, kkt.K
+            res = np.abs(K @ d[q] - rhs[q]).max()
+            return res / (1e-7 * (np.abs(rhs).max() + 1.0))
+
+        def checked_solve_kkt(self, pt, gphi, mu, delta_w_last):
+            dy, dlam, delta_w, kkt_solve = solve_kkt(self, pt, gphi, mu, delta_w_last)
+            kkt = self._kkt
+            assert not kkt.pivoted
+            rhs = -np.concatenate([gphi + pt.jt_lam, pt.c])
+            ratios.append(residual(kkt, np.concatenate([dy, dlam]), rhs))
+
+            def checked(rhs_soc):
+                d = kkt_solve(rhs_soc)
+                ratios.append(residual(kkt, d, rhs_soc))
+                return d
+
+            checked(-np.concatenate([np.zeros(len(pt.y)), pt.c]))
+            return dy, dlam, delta_w, checked
+
+        monkeypatch.setattr(_InteriorPoint, "_solve_kkt", checked_solve_kkt)
+        result = transient()
+        assert result.status == "local-optimum"
+        assert len(ratios) >= 2 * result.iterations - 2
+        assert max(ratios) <= 1.0
+
+
+class TestTightTolerance:
+    def test_single_pipe_steady_at_1e_14(self):
+        """A trial that rounding puts on a bound is rejected before its
+        barrier value takes log(0): the steady solve at kkt_tol 1e-14 ends
+        at a local optimum, with no RuntimeWarning."""
+        segnet, scenario = bundled_case("single-pipe")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result, _ = solve_steady(segnet, scenario, SolverOptions(kkt_tol=1e-14))
+        assert result.status == "local-optimum"
+        assert result.kkt_residual <= 1e-14
 
 
 class TestSteadyState:
@@ -815,9 +980,12 @@ class TestTransient:
         assert t1.qw == pytest.approx(t2.qw, rel=1e-6)
         assert t1.f0 == pytest.approx(t2.f0, rel=1e-6)
 
-    def test_iteration_log_collected(self, monkeypatch):
-        """One row per accepted step, in the seven log columns; without
-        restoration every evaluation after the first is an accepted step."""
+    def test_iteration_log_collected(self, monkeypatch, kkt_factorizations):
+        """One row per accepted step, in the nine log columns; without
+        restoration every evaluation after the first is an accepted step.
+        The rows count every KKT factorization but those of the last,
+        converged iterate's (none), and the line case's small KKT matrix is
+        always factored with row pivoting."""
         evaluations = []
         evaluate = _InteriorPoint.evaluate
 
@@ -834,7 +1002,10 @@ class TestTransient:
             list(range(1, result.iterations))
         for row in result.log:
             assert list(row) == ["iteration", "mu", "objective", "violation",
-                                 "kkt", "step", "regularization"]
+                                 "kkt", "step", "regularization", "factorizations",
+                                 "pivoted"]
+            assert row["factorizations"] >= 1 and row["pivoted"] is True
+        assert sum(row["factorizations"] for row in result.log) == len(kkt_factorizations)
 
     def test_log_kkt_is_the_result_kkt(self):
         segnet, scenario = steady_line_case(eta_s=0.1)
